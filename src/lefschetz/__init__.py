@@ -12,9 +12,6 @@ from .classifier import (
     DigitDecomposition,
     base_p_digits,
     classify,
-    classify_n_ge_3,
-    classify_two_p2,
-    classify_two_p_odd,
     delta_zero_criterion,
     digit_decomposition,
     manhattan_check,
@@ -64,9 +61,6 @@ __all__ = [
     "base_p_digits",
     "binomial_mod_p",
     "classify",
-    "classify_n_ge_3",
-    "classify_two_p2",
-    "classify_two_p_odd",
     "delta_value",
     "delta_zero_criterion",
     "digit_decomposition",

@@ -4,16 +4,15 @@ Three equivalent formulations are implemented for two variables:
 
 * a per-level check of four inequalities on the quotient/remainder
   decompositions ``a = m*p^i + r``, ``b = n*p^i + s`` (:func:`slp_step_check`);
-* a Manhattan-distance criterion quantified over lattice points with odd
-  coordinate sum (:func:`manhattan_check`);
-* explicit digit classifications, split by characteristic
-  (:func:`classify_two_p2`, :func:`classify_two_p_odd`).
+* a Manhattan-distance criterion: the L1 distance from each point
+  ``(a, b, a + b - 2c)`` to the lattice of multiples ``p^i * (u, v, w)``
+  with odd ``u + v + w``, computed in closed form (:func:`manhattan_check`);
+* explicit digit classifications, split by characteristic and by the
+  number of variables, behind :func:`classify`, which reports which of the
+  five numbered conditions of the combined classification fired.
 
-For three or more variables :func:`classify_n_ge_3` applies, and
-:func:`classify` dispatches on the number of variables, reporting which of
-the five numbered conditions of the combined classification fired.
-:func:`delta_zero_criterion` is the analogous bounded search deciding
-vanishing of the syzygy gap.
+:func:`delta_zero_criterion` decides vanishing of the syzygy gap by the
+same odd-sum lattice distance, applied to the degree triple.
 
 All functions are pure; everything is exact integer arithmetic.
 """
@@ -115,67 +114,69 @@ def slp_step_check(field: PrimeField, a: int, b: int) -> ConditionReport:
     return ConditionReport(tuple(violations))
 
 
-def _nearest_multiple_distance(value: int, step: int, parity: int, window: int) -> int:
-    # min |value - w*step| over integers w of the given parity. The two
-    # bracketing multiples of each parity class lie within quotient-1 ..
-    # quotient+2; a wider window only re-confirms that.
-    q = value // step
-    best = None
-    for w in range(q - 1 - window, q + 3 + window):
-        if w % 2 != parity:
-            continue
-        d = abs(value - w * step)
-        if best is None or d < best:
-            best = d
-    return best
+def _odd_sum_distance(point: tuple[int, ...], step: int) -> int:
+    # min ||point - step*u||_1 over integer vectors u with odd coordinate sum.
+    # Coordinatewise the nearest multiple of step is best, and it fixes the
+    # parity of that coordinate of u. If those parities sum to even, exactly
+    # one coordinate moves to its other bracketing multiple, at extra cost
+    # |step - 2r|; the cheapest such move wins.
+    total = 0
+    parity = 0
+    flip = step
+    for x in point:
+        q, r = divmod(x, step)
+        if 2 * r > step:
+            q += 1
+            total += step - r
+        else:
+            total += r
+        parity += q
+        flip = min(flip, abs(step - 2 * r))
+    return total if parity % 2 else total + flip
 
 
-def manhattan_check(field: PrimeField, a: int, b: int, window: int = 0) -> bool:
+def manhattan_check(field: PrimeField, a: int, b: int) -> bool:
     """Decide the strong Lefschetz property of K[x,y]/(x^a, y^b) by distances.
 
     Tests, for every level i >= 1 and every 1 <= c < min(a, b), whether
 
         |a - u*p^i| + |b - v*p^i| + |a + b - 2c - w*p^i| >= p^i
 
-    holds for all integers u, v, w with odd sum. Only u, v in
-    {quotient, quotient + 1} can violate the bound (any other choice already
-    contributes p^i on its own), and for each of those the best w of the
-    forced parity is one of the two bracketing multiples, so the search is
-    finite. Level 0 never fails: with step 1 an odd-sum triple cannot hit
-    the point (a, b, a + b - 2c), whose coordinate sum is even.
-
-    ``window`` widens every candidate range by that many extra multiples on
-    each side; the default 0 is provably sufficient and the wider setting
-    exists as a cross-check.
+    holds for all integers u, v, w with odd sum. The minimum of the left
+    side has a closed form: take the nearest multiple of p^i in each
+    coordinate and, when the chosen u + v + w is even, move the cheapest
+    coordinate to its other bracketing multiple. Level 0 never fails: with
+    step 1 an odd-sum triple cannot hit the point (a, b, a + b - 2c), whose
+    coordinate sum is even.
     """
     _check_two_exponents(a, b)
     p = field.p
-    cmax = min(a, b)
     level = 1
     while True:
         step = p**level
-        qa = a // step
-        qb = b // step
-        for u in range(qa - window, qa + 2 + window):
-            dist_u = abs(a - u * step)
-            for v in range(qb - window, qb + 2 + window):
-                dist_v = abs(b - v * step)
-                parity = (1 + u + v) % 2
-                for c in range(1, cmax):
-                    dist_w = _nearest_multiple_distance(a + b - 2 * c, step, parity, window)
-                    if dist_u + dist_v + dist_w < step:
-                        return False
+        for c in range(1, min(a, b)):
+            if _odd_sum_distance((a, b, a + b - 2 * c), step) < step:
+                return False
         if step >= a + b - 1:
             break
         level += 1
     return True
 
 
-def _two_odd_case(field: PrimeField, a: int, b: int) -> tuple[bool, str]:
-    # Classification for two variables in odd characteristic. The pair is
-    # normalized so the first exponent has at most as many digits as the
-    # second; the algebra is symmetric in its variables so this loses
-    # nothing.
+def _two_odd_case(field: PrimeField, a: int, b: int) -> tuple[int | None, str]:
+    # Classification for two variables in odd characteristic:
+    #   case 1 (both exponents below p): a + b <= p + 1;
+    #   case 2 (one below p, one not): the small exponent is at most
+    #     min(b0, p - b0) + 1, b0 the units digit of the large one;
+    #   case 3 (both at least p): (a) both units digits equal (p +- 1)/2,
+    #     (b) the middle digits of both equal (p - 1)/2 through the shorter
+    #     length, (c) the digits at the shorter number's leading position sum
+    #     to at most p - 1, the longer number's digit there being at least
+    #     the shorter's leading digit when the lengths differ.
+    # The tag names the case, plus the first failed subcondition of case 3.
+    # The pair is normalized so the first exponent has at most as many
+    # digits as the second; the algebra is symmetric in its variables so
+    # this loses nothing.
     p = field.p
     da = base_p_digits(a, field)
     db = base_p_digits(b, field)
@@ -184,147 +185,94 @@ def _two_odd_case(field: PrimeField, a: int, b: int) -> tuple[bool, str]:
     lo = (p - 1) // 2
     hi = (p + 1) // 2
     if len(db) == 1:
-        # both below p
-        return a + b <= p + 1, "case 1"
+        return (4 if a + b <= p + 1 else None), "case 1"
     if len(da) == 1:
-        # a below p, b at least p
         b0 = db[0]
-        return a <= min(b0, p - b0) + 1, "case 2"
-    # both at least p
+        return (5 if a <= min(b0, p - b0) + 1 else None), "case 2"
     k = len(da) - 1
     if da[0] not in (lo, hi) or db[0] not in (lo, hi):
-        return False, "case 3(a)"
+        return None, "case 3(a)"
     if any(da[i] != lo or db[i] != lo for i in range(1, k)):
-        return False, "case 3(b)"
+        return None, "case 3(b)"
     if da[k] + db[k] > p - 1 or (len(db) - 1 > k and db[k] < da[k]):
-        return False, "case 3(c)"
-    return True, "case 3"
+        return None, "case 3(c)"
+    return 3, "case 3"
 
 
-def classify_two_p_odd(field: PrimeField, a: int, b: int) -> SlpVerdict:
-    """Digit classification of K[x,y]/(x^a, y^b) for odd characteristic.
-
-    Case 1 (both exponents below p): the property holds iff a + b <= p + 1.
-    Case 2 (one below p, one not): iff the small exponent is at most
-    min(b0, p - b0) + 1, where b0 is the units digit of the large one.
-    Case 3 (both at least p): iff the units digits both equal (p +- 1)/2,
-    the middle digits of both equal (p - 1)/2 through the shorter length,
-    and the digits at the shorter number's leading position sum to at most
-    p - 1, with the longer number's digit there at least the shorter's
-    leading digit when the lengths differ. The verdict's condition tag
-    names the case, plus the first failed subcondition on a negative
-    verdict.
-    """
-    if field.p == 2:
-        raise ValueError("odd characteristic required; use classify_two_p2 for p = 2")
-    _check_two_exponents(a, b)
-    has_slp, tag = _two_odd_case(field, a, b)
-    return SlpVerdict(has_slp, "classification", condition=tag)
-
-
-def _two_p2_case(a: int, b: int) -> tuple[bool, str]:
+def _two_p2_case(a: int, b: int) -> tuple[int | None, str]:
     lo, hi = sorted((a, b))
     if lo == 2 and hi % 2 == 1:
-        return True, "smaller exponent 2, other odd"
+        return 2, "smaller exponent 2, other odd"
     if lo == 3 and hi % 4 == 2:
-        return True, "smaller exponent 3, other = 2 mod 4"
-    return False, "no p=2 case applies"
+        return 2, "smaller exponent 3, other = 2 mod 4"
+    return None, "no p=2 case applies"
 
 
-def classify_two_p2(a: int, b: int) -> SlpVerdict:
-    """Classification of K[x,y]/(x^a, y^b) in characteristic two.
-
-    The property holds exactly when the smaller exponent is 2 with the
-    other odd, or the smaller exponent is 3 with the other congruent to
-    2 mod 4.
-    """
-    _check_two_exponents(a, b)
-    has_slp, tag = _two_p2_case(a, b)
-    return SlpVerdict(has_slp, "classification", condition=tag)
-
-
-def _n_ge_3_case(field: PrimeField, ds: tuple[int, ...]) -> tuple[bool, str]:
+def _n_ge_3_case(field: PrimeField, ds: tuple[int, ...]) -> tuple[int | None, str]:
+    # With the largest exponent written as N*p + r (0 <= r < p): the top
+    # degree is below p, or the largest exponent is at least p, every other
+    # exponent is below p, and the other (exponent - 1) terms sum to at most
+    # min(r, p - r).
     p = field.p
     t = sum(d - 1 for d in ds)
     if t < p:
-        return True, "top degree below p"
+        return 4, "top degree below p"
     ordered = sorted(ds, reverse=True)
     biggest = ordered[0]
     rest = ordered[1:]
     r = biggest % p
     if biggest >= p and all(d < p for d in rest) and sum(d - 1 for d in rest) <= min(r, p - r):
-        return True, "single dominant exponent"
-    return False, "no condition applies"
-
-
-def classify_n_ge_3(field: PrimeField, ds) -> SlpVerdict:
-    """Classification for three or more variables.
-
-    With the largest exponent written as N*p + r (0 <= r < p), the property
-    holds iff the top degree is below p, or the largest exponent is at
-    least p, every other exponent is below p, and the sum of the other
-    (exponent - 1) terms is at most min(r, p - r).
-    """
-    ds = tuple(int(d) for d in ds)
-    if len(ds) < 3:
-        raise ValueError("need at least three variables")
-    if any(d < 2 for d in ds):
-        raise ValueError("exponents must be at least 2")
-    has_slp, tag = _n_ge_3_case(field, ds)
-    return SlpVerdict(has_slp, "classification", condition=tag)
+        return 5, "single dominant exponent"
+    return None, "no condition applies"
 
 
 def classify(field: PrimeField, ds) -> SlpVerdict:
     """Full classification for any number of variables.
 
-    Dispatches to the two-variable classifications or the many-variable one
-    and reports which numbered condition of the combined classification
-    fired:
+    Dispatches on the number of variables and, for two, on the
+    characteristic, and reports which numbered condition of the combined
+    classification fired:
 
       1. one variable (always has the property);
-      2. two variables in characteristic two;
-      3. two variables, odd characteristic, both exponents at least p;
+      2. two variables in characteristic two: the smaller exponent is 2
+         with the other odd, or 3 with the other congruent to 2 mod 4;
+      3. two variables, odd characteristic, both exponents at least p, with
+         the digit conditions 3(a) to 3(c) all met;
       4. top degree below p (any number of variables, p odd);
       5. a single exponent at least p dominating all others (p odd).
 
-    A negative verdict carries the reason no condition applies.
+    A negative verdict carries the reason no condition applies, for two
+    variables in odd characteristic the case and the first failed
+    subcondition, e.g. ``no condition satisfied (case 3(b))``.
     """
     ds = tuple(int(d) for d in ds)
     if not ds:
         raise ValueError("need at least one exponent")
     if any(d < 2 for d in ds):
         raise ValueError("exponents must be at least 2")
-    p = field.p
     if len(ds) == 1:
-        return SlpVerdict(True, "classification", condition="condition 1: one variable")
-    if len(ds) == 2:
-        a, b = ds
-        if p == 2:
-            has_slp, tag = _two_p2_case(a, b)
-            number = 2
-        else:
-            has_slp, tag = _two_odd_case(field, a, b)
-            number = {"case 1": 4, "case 2": 5}.get(tag.split("(")[0], 3)
+        number, tag = 1, "one variable"
+    elif len(ds) == 2:
+        number, tag = _two_p2_case(*ds) if field.p == 2 else _two_odd_case(field, *ds)
     else:
-        has_slp, tag = _n_ge_3_case(field, ds)
-        number = 4 if tag == "top degree below p" else 5
-    if has_slp:
-        return SlpVerdict(True, "classification", condition=f"condition {number}: {tag}")
-    return SlpVerdict(False, "classification", condition=f"no condition satisfied ({tag})")
+        number, tag = _n_ge_3_case(field, ds)
+    if number is None:
+        return SlpVerdict(False, "classification", condition=f"no condition satisfied ({tag})")
+    return SlpVerdict(True, "classification", condition=f"condition {number}: {tag}")
 
 
-def delta_zero_criterion(field: PrimeField, d1: int, d2: int, d3: int, window: int = 0) -> bool:
-    """Bounded search deciding whether the syzygy gap of the triple vanishes.
+def delta_zero_criterion(field: PrimeField, d1: int, d2: int, d3: int) -> bool:
+    """Closed-form test of whether the syzygy gap of the triple vanishes.
 
     Requires 1 <= d1 <= d2 <= d3 < d1 + d2. The gap is zero iff
 
         |d1 - u*p^s| + |d2 - v*p^s| + |d3 - w*p^s| >= p^s
 
-    for every s >= 0 and all integers u, v, w with odd sum. As in
-    :func:`manhattan_check` only the bracketing multiples of each coordinate
-    matter, and levels stop once p^s reaches d1 + d2 + d3. Level 0 is a
-    genuine check here: when d1 + d2 + d3 is odd the point itself has odd
-    coordinate sum and the gap cannot vanish.
+    for every s >= 0 and all integers u, v, w with odd sum. The minimum of
+    the left side is the same odd-sum lattice distance as in
+    :func:`manhattan_check`, and levels stop once p^s reaches d1 + d2 + d3.
+    Level 0 is a genuine check here: when d1 + d2 + d3 is odd the point
+    itself has odd coordinate sum and the gap cannot vanish.
     """
     if not 1 <= d1 <= d2 <= d3 < d1 + d2:
         raise ValueError("require 1 <= d1 <= d2 <= d3 < d1 + d2")
@@ -333,16 +281,8 @@ def delta_zero_criterion(field: PrimeField, d1: int, d2: int, d3: int, window: i
     s = 0
     while True:
         step = p**s
-        q1 = d1 // step
-        q2 = d2 // step
-        for u in range(q1 - window, q1 + 2 + window):
-            dist_u = abs(d1 - u * step)
-            for v in range(q2 - window, q2 + 2 + window):
-                dist_v = abs(d2 - v * step)
-                parity = (1 + u + v) % 2
-                dist_w = _nearest_multiple_distance(d3, step, parity, window)
-                if dist_u + dist_v + dist_w < step:
-                    return False
+        if _odd_sum_distance((d1, d2, d3), step) < step:
+            return False
         if step >= total:
             break
         s += 1

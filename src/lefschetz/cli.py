@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 import sys
 import time
 
@@ -49,6 +50,20 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     if not values:
         raise UsageError(f"empty {what}")
     return values
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"malformed {what}: {text!r}") from None
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _field(p: int) -> PrimeField:
@@ -176,16 +191,20 @@ def _cmd_syzgap(args) -> int:
 
 
 def _read_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        out[key] = value
     return out
 
 
@@ -207,12 +226,12 @@ def _sweep_config(args) -> dict:
         _field(p)
 
     n_text = pick(args.n, "n")
-    n = int(n_text) if n_text is not None else 2
+    n = _parse_int(n_text, "n") if n_text is not None else 2
     if n < 1:
         raise UsageError("n must be at least 1")
 
     max_text = pick(args.max, "max")
-    max_exponent = int(max_text) if max_text is not None else 6
+    max_exponent = _parse_int(max_text, "max exponent") if max_text is not None else 6
     if max_exponent < 2:
         raise UsageError("max exponent must be at least 2")
 
@@ -229,7 +248,7 @@ def _sweep_config(args) -> dict:
         raise UsageError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
 
     jobs_text = pick(args.jobs, "jobs")
-    jobs = int(jobs_text) if jobs_text is not None else (multiprocessing.cpu_count() or 1)
+    jobs = _parse_int(jobs_text, "jobs") if jobs_text is not None else _available_cpus()
     if jobs < 1:
         raise UsageError("jobs must be at least 1")
 
@@ -353,8 +372,11 @@ def _cmd_verify(args) -> int:
     renderer = {"json": render_json, "csv": render_csv, "text": render_text}[config["format"]]
     payload = renderer(report)
     if config["out"]:
-        with open(config["out"], "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
+        try:
+            with open(config["out"], "w", encoding="utf-8", newline="") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {config['out']}: {exc}") from None
     else:
         sys.stdout.write(payload)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
@@ -401,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--modes", help="subset of oracle,digits,manhattan,delta")
     verify.add_argument("--format", help="json, csv or text (default text)")
     verify.add_argument("--out", help="write the report to FILE instead of stdout")
-    verify.add_argument("--jobs", help="parallel workers (default: all processors)")
+    verify.add_argument("--jobs", help="parallel workers (default: available processors)")
     verify.add_argument("--config", help="key = value file; flags override it")
     verify.set_defaults(func=_cmd_verify)
 

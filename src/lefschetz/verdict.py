@@ -38,11 +38,10 @@ class SlpVerdict:
     has_slp: bool
     method: str
     failing_exponent: int | None = None
-    witness: KernelWitness | None = None
     condition: str | None = None
 
     def __post_init__(self) -> None:
         if self.method not in ("oracle", "classification"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.has_slp and (self.failing_exponent is not None or self.witness is not None):
+        if self.has_slp and self.failing_exponent is not None:
             raise ValueError("a positive verdict cannot carry failure evidence")

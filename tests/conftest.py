@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from lefschetz import MatrixGFp
 
@@ -39,6 +39,47 @@ def rank_by_minors(matrix: MatrixGFp, p: int) -> int:
                 if det_mod(sub, p) != 0:
                     return k
     return 0
+
+
+def odd_sum_distance_by_search(point, step: int) -> int:
+    """Smallest ||point - step*u||_1 over integer u with odd sum, by box search.
+
+    Moving a coordinate of u two multiples towards the point keeps the
+    parity of the sum and lowers the distance, so a minimizer has every
+    u_i within quotient - 1 .. quotient + 2; the box searched is one wider
+    on each side.
+    """
+    boxes = [range(x // step - 2, x // step + 4) for x in point]
+    return min(
+        sum(abs(x - step * u) for x, u in zip(point, us))
+        for us in product(*boxes)
+        if sum(us) % 2
+    )
+
+
+def manhattan_by_search(p: int, a: int, b: int) -> bool:
+    """Manhattan criterion for K[x,y]/(x^a, y^b), each distance by box search."""
+    level = 1
+    while True:
+        step = p**level
+        for c in range(1, min(a, b)):
+            if odd_sum_distance_by_search((a, b, a + b - 2 * c), step) < step:
+                return False
+        if step >= a + b - 1:
+            return True
+        level += 1
+
+
+def delta_zero_by_search(p: int, d1: int, d2: int, d3: int) -> bool:
+    """Vanishing syzygy gap of (d1, d2, d3), each distance by box search."""
+    s = 0
+    while True:
+        step = p**s
+        if odd_sum_distance_by_search((d1, d2, d3), step) < step:
+            return False
+        if step >= d1 + d2 + d3:
+            return True
+        s += 1
 
 
 def transpose(matrix: MatrixGFp) -> MatrixGFp:

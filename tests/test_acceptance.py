@@ -14,7 +14,6 @@ from lefschetz import (
     PrimeField,
     RegionTag,
     classify,
-    classify_n_ge_3,
     delta_value,
     delta_zero_criterion,
     hilbert_series_identity,
@@ -160,7 +159,7 @@ def test_c6_three_variable_classification():
             for d2 in range(2, 7):
                 for d3 in range(2, 7):
                     count += 1
-                    closed = classify_n_ge_3(field, (d1, d2, d3)).has_slp
+                    closed = classify(field, (d1, d2, d3)).has_slp
                     oracle = is_slp_oracle(MonomialCI(field, (d1, d2, d3))).has_slp
                     if closed != oracle:
                         mismatches.append((field.p, d1, d2, d3, closed, oracle))

@@ -1,25 +1,30 @@
-"""Digit machinery, per-level conditions, Manhattan searches, classifications."""
+"""Digit machinery, per-level conditions, odd-sum lattice distances, classifications."""
 
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    SMALL_PRIMES,
+    delta_zero_by_search,
+    manhattan_by_search,
+    odd_sum_distance_by_search,
+)
 from lefschetz import (
     PrimeField,
     base_p_digits,
     classify,
-    classify_n_ge_3,
-    classify_two_p2,
-    classify_two_p_odd,
     delta_zero_criterion,
     digit_decomposition,
     manhattan_check,
     slp_step_check,
 )
+from lefschetz.classifier import _odd_sum_distance
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -69,6 +74,19 @@ class TestStepCheck:
             slp_step_check(F3, 1, 4)
 
 
+class TestOddSumDistance:
+    def test_matches_box_search(self):
+        rng = random.Random(20170323)
+        for p in SMALL_PRIMES:
+            for step in (1, p, p * p):
+                for dim in (1, 2, 3):
+                    for _ in range(150):
+                        point = tuple(rng.randint(0, 4 * step + 3) for _ in range(dim))
+                        assert _odd_sum_distance(point, step) == odd_sum_distance_by_search(
+                            point, step
+                        ), (point, step)
+
+
 class TestManhattan:
     def test_examples(self):
         assert manhattan_check(F3, 2, 2)
@@ -80,9 +98,11 @@ class TestManhattan:
             field = PrimeField(p)
             for a in range(2, 16):
                 for b in range(a, 16):
-                    assert manhattan_check(field, a, b) == manhattan_check(
-                        field, a, b, window=2
-                    ), (p, a, b)
+                    assert manhattan_check(field, a, b) == manhattan_by_search(p, a, b), (
+                        p,
+                        a,
+                        b,
+                    )
 
     def test_agrees_with_step_conditions(self):
         for p in (2, 3, 5, 7):
@@ -94,43 +114,41 @@ class TestManhattan:
 
 class TestTwoVariableClassification:
     def test_odd_p_examples(self):
-        assert classify_two_p_odd(F5, 3, 3).has_slp
-        assert classify_two_p_odd(F5, 3, 3).condition == "case 1"
-        v = classify_two_p_odd(F3, 2, 9)
-        assert not v.has_slp and v.condition == "case 2"
-        v = classify_two_p_odd(F3, 4, 4)
-        assert v.has_slp and v.condition == "case 3"
+        v = classify(F5, (3, 3))
+        assert v.has_slp and v.condition == "condition 4: case 1"
+        v = classify(F3, (2, 9))
+        assert not v.has_slp and v.condition == "no condition satisfied (case 2)"
+        v = classify(F3, (4, 4))
+        assert v.has_slp and v.condition == "condition 3: case 3"
 
     def test_odd_p_case3_subconditions(self):
-        assert classify_two_p_odd(F5, 6, 7).condition == "case 3(a)"  # 6 ends in digit 1
-        assert classify_two_p_odd(F5, 42, 27).condition == "case 3(b)"  # middle digit 3
-        assert classify_two_p_odd(F5, 22, 23).condition == "case 3(c)"  # leading 4+4 > 4
+        # 6 ends in digit 1; 42 has middle digit 3; leading digits 4 + 4 > 4
+        assert classify(F5, (6, 7)).condition == "no condition satisfied (case 3(a))"
+        assert classify(F5, (42, 27)).condition == "no condition satisfied (case 3(b))"
+        assert classify(F5, (22, 23)).condition == "no condition satisfied (case 3(c))"
 
     def test_odd_p_argument_order_is_irrelevant(self):
         for field in (F3, F5, F7):
             for a in range(2, 30):
                 for b in range(2, 30):
-                    assert (
-                        classify_two_p_odd(field, a, b).has_slp
-                        == classify_two_p_odd(field, b, a).has_slp
-                    )
-
-    def test_odd_p_rejects_p2(self):
-        with pytest.raises(ValueError):
-            classify_two_p_odd(F2, 2, 3)
+                    assert classify(field, (a, b)) == classify(field, (b, a)), (field.p, a, b)
 
     def test_p2_examples(self):
-        assert classify_two_p2(2, 5).has_slp
-        assert classify_two_p2(3, 6).has_slp
-        assert not classify_two_p2(3, 4).has_slp
-        assert not classify_two_p2(2, 2).has_slp
+        assert classify(F2, (2, 5)).condition == "condition 2: smaller exponent 2, other odd"
+        assert classify(F2, (3, 6)).condition == (
+            "condition 2: smaller exponent 3, other = 2 mod 4"
+        )
+        for ds in ((3, 4), (2, 2)):
+            v = classify(F2, ds)
+            assert not v.has_slp and v.condition == "no condition satisfied (no p=2 case applies)"
 
 
 class TestManyVariableClassification:
     def test_examples(self):
-        assert classify_n_ge_3(F7, (2, 2, 2)).has_slp
-        assert not classify_n_ge_3(F3, (3, 2, 2)).has_slp
-        assert classify_n_ge_3(F5, (7, 2, 2)).has_slp
+        assert classify(F7, (2, 2, 2)).condition == "condition 4: top degree below p"
+        v = classify(F3, (3, 2, 2))
+        assert not v.has_slp and v.condition == "no condition satisfied (no condition applies)"
+        assert classify(F5, (7, 2, 2)).condition == "condition 5: single dominant exponent"
 
     def test_largest_exponent_equal_to_p_never_works(self):
         for p in (2, 3, 5):
@@ -138,11 +156,9 @@ class TestManyVariableClassification:
             for rest in [(2, 2), (2, 3), (3, 3)]:
                 ds = (p,) + rest
                 if max(ds) == p:
-                    assert not classify_n_ge_3(field, ds).has_slp, ds
-
-    def test_needs_three_variables(self):
-        with pytest.raises(ValueError):
-            classify_n_ge_3(F3, (2, 2))
+                    v = classify(field, ds)
+                    assert not v.has_slp, ds
+                    assert v.condition == "no condition satisfied (no condition applies)", ds
 
 
 class TestClassify:
@@ -162,17 +178,7 @@ class TestClassify:
 
     def test_negative_verdicts_have_no_failure_payload(self):
         v = classify(F2, (2, 2))
-        assert not v.has_slp and v.failing_exponent is None and v.witness is None
-
-    def test_agrees_with_dedicated_classifiers(self):
-        for a in range(2, 30):
-            for b in range(a, 30):
-                assert classify(F2, (a, b)).has_slp == classify_two_p2(a, b).has_slp
-                for field in (F3, F5):
-                    assert (
-                        classify(field, (a, b)).has_slp
-                        == classify_two_p_odd(field, a, b).has_slp
-                    )
+        assert not v.has_slp and v.failing_exponent is None
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -213,5 +219,5 @@ class TestDeltaZeroCriterion:
                 for d2 in range(d1, 9):
                     for d3 in range(d2, d1 + d2):
                         assert delta_zero_criterion(field, d1, d2, d3) == (
-                            delta_zero_criterion(field, d1, d2, d3, window=2)
+                            delta_zero_by_search(p, d1, d2, d3)
                         ), (p, d1, d2, d3)

@@ -222,3 +222,29 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--config", str(cfg)], capsys)
         assert code == 2
         assert "wibble" in err
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            pytest.param(["--max", "abc"], None, id="max-flag"),
+            pytest.param(["--n", "two"], None, id="n-flag"),
+            pytest.param(["--jobs", "x"], None, id="jobs-flag"),
+            pytest.param([], b"max = abc\n", id="max-config"),
+            pytest.param([], b"n = two\n", id="n-config"),
+            pytest.param([], b"jobs = x\n", id="jobs-config"),
+            pytest.param([], b"max = \xff\n", id="undecodable-config"),
+            pytest.param(["--config", "{tmp}/missing.cfg"], None, id="missing-config"),
+            pytest.param(["--out", "{tmp}/missing/report.txt"], None, id="unwritable-out"),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, flags, config, tmp_path, capsys):
+        argv = ["verify", "--primes", "2", "--modes", "digits"]
+        argv += [f.format(tmp=tmp_path) for f in flags]
+        if config is not None:
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_bytes(config)
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
