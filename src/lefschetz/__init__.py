@@ -41,7 +41,6 @@ from .syzygy_gap import (
     region,
     slp_via_delta,
     syzygy_profile,
-    syzygy_profile_scan,
 )
 from .verdict import KernelWitness, SlpVerdict
 
@@ -80,6 +79,5 @@ __all__ = [
     "slp_step_check",
     "slp_via_delta",
     "syzygy_profile",
-    "syzygy_profile_scan",
     "__version__",
 ]

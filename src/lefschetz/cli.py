@@ -73,8 +73,7 @@ def _field(p: int) -> PrimeField:
         raise UsageError(str(exc)) from None
 
 
-def _mode_verdict(mode: str, p: int, ds: tuple[int, ...]) -> bool:
-    field = PrimeField(p)
+def _mode_verdict(mode: str, field: PrimeField, ds: tuple[int, ...]) -> bool:
     if mode == "oracle":
         return is_slp_oracle(MonomialCI(field, ds)).has_slp
     if mode == "digits":
@@ -120,7 +119,7 @@ def _cmd_check(args) -> int:
     else:
         modes = [args.mode]
     _check_modes(modes, len(ds))
-    verdicts = {m: _mode_verdict(m, field.p, ds) for m in modes}
+    verdicts = {m: _mode_verdict(m, field, ds) for m in modes}
     if len(set(verdicts.values())) > 1:
         detail = ", ".join(f"{m}={v}" for m, v in verdicts.items())
         print(f"internal disagreement between decision routes: {detail}", file=sys.stderr)
@@ -222,8 +221,7 @@ def _sweep_config(args) -> dict:
     if primes_text is None:
         raise UsageError("verify needs --primes (or 'primes' in the config file)")
     primes = _parse_int_list(primes_text, "prime list")
-    for p in primes:
-        _field(p)
+    fields = {p: _field(p) for p in primes}
 
     n_text = pick(args.n, "n")
     n = _parse_int(n_text, "n") if n_text is not None else 2
@@ -254,6 +252,7 @@ def _sweep_config(args) -> dict:
 
     return {
         "primes": list(primes),
+        "fields": fields,
         "n": n,
         "max_exponent": max_exponent,
         "modes": list(modes),
@@ -279,16 +278,16 @@ def _grid(primes, n, max_exponent):
 
 
 def _sweep_worker(task):
-    p, ds, modes = task
-    verdicts = {m: _mode_verdict(m, p, ds) for m in modes}
+    field, ds, modes = task
+    verdicts = {m: _mode_verdict(m, field, ds) for m in modes}
     values = list(verdicts.values())
     agree = len(set(values)) <= 1
     witness = None
     if len(ds) == 2 and agree and values[0] is False:
-        w = kernel_witness(MonomialCI(PrimeField(p), ds))
+        w = kernel_witness(MonomialCI(field, ds))
         witness = _witness_dict(w)
     return {
-        "p": p,
+        "p": field.p,
         "d": list(ds),
         "verdicts": verdicts,
         "agree": agree,
@@ -297,7 +296,8 @@ def _sweep_worker(task):
 
 
 def _run_sweep(config) -> dict:
-    tasks = [(p, ds, tuple(config["modes"])) for p, ds in
+    fields = config["fields"]
+    tasks = [(fields[p], ds, tuple(config["modes"])) for p, ds in
              _grid(config["primes"], config["n"], config["max_exponent"])]
     jobs = min(config["jobs"], len(tasks)) or 1
     if jobs > 1:

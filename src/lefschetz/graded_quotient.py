@@ -143,9 +143,13 @@ def mult_matrix(algebra: MonomialCI, power: int, degree: int) -> GradedMap:
     src = graded_basis(algebra, degree)
     dst = graded_basis(algebra, degree + power)
     row_of = {mono: i for i, mono in enumerate(dst)}
-    ncols = len(src)
-    entries = [0] * (len(dst) * ncols)
-    for col, mono in enumerate(src):
-        for target, coeff in _column_terms(algebra, mono, power):
-            entries[row_of[target] * ncols + col] = coeff
-    return GradedMap(degree, power, MatrixGFp(len(dst), ncols, tuple(entries)))
+    # _column_terms yields targets in ascending lexicographic order, which is
+    # descending row order on the descending-lexicographic basis.
+    columns = tuple(
+        tuple(
+            (row_of[target], coeff)
+            for target, coeff in reversed(_column_terms(algebra, mono, power))
+        )
+        for mono in src
+    )
+    return GradedMap(degree, power, MatrixGFp(len(dst), len(src), columns))

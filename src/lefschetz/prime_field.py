@@ -1,10 +1,10 @@
-"""Exact arithmetic in GF(p) and exact rank computation for dense matrices.
+"""Exact arithmetic in GF(p): sparse matrices, their rank, and binomials.
 
 All values are plain Python integers reduced into ``[0, p)``; there is no
-floating point anywhere in this package. Matrices are immutable row-major
-tuples. Rank is computed by Gaussian elimination over GF(p) on an ``int64``
-copy, which stays exact because the characteristic is capped so that a
-product of two residues fits comfortably in 64 bits.
+floating point anywhere in this package. Matrices are immutable and stored
+by columns, each column holding only its nonzero entries. Rank is computed
+by Gaussian elimination on the columns in Python integers, so it is exact
+for every characteristic.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Sequence
 
-import numpy as np
-
-# Cap so (p-1)**2 + (p-1) stays well inside int64 during elimination.
+# Bounds the trial division in the primality check at construction.
 MAX_CHARACTERISTIC = 2**31 - 1
 
 
@@ -46,56 +44,42 @@ class PrimeField:
         if self.p > MAX_CHARACTERISTIC:
             raise ValueError(
                 f"characteristic {self.p} exceeds {MAX_CHARACTERISTIC}; "
-                "products would not fit in native integers"
+                "primality is checked by trial division"
             )
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inverse(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero residue."""
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 is not invertible in GF({self.p})")
-        return pow(a, -1, self.p)
+Column = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class MatrixGFp:
-    """Dense matrix over GF(p): row-major entries, immutable.
+    """Sparse matrix over GF(p), stored by columns, immutable.
 
-    Entry bounds against the characteristic are enforced where a field is
-    available (see :func:`rank`); the constructor checks shape consistency
-    and non-negativity only.
+    Each column is a tuple of ``(row, entry)`` pairs holding the nonzero
+    entries in increasing row order, so equal matrices compare equal.
+    Entries and row indices are checked against the field and the shape
+    where a field is available (see :func:`rank`); the constructor checks
+    the dimensions and the number of columns only.
     """
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    columns: tuple[Column, ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(self.columns) != self.cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{self.rows}x{self.cols} matrix needs {self.cols} columns, "
+                f"got {len(self.columns)}"
             )
-        if any(e < 0 for e in self.entries):
-            raise ValueError("matrix entries must be non-negative residues")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "MatrixGFp":
+        """Matrix with the given dense rows; ``cols`` sizes a matrix without rows."""
         rows = [tuple(r) for r in rows]
         if rows:
             cols = len(rows[0])
@@ -103,47 +87,56 @@ class MatrixGFp:
                 raise ValueError("ragged rows")
         elif cols is None:
             cols = 0
-        flat = tuple(e for r in rows for e in r)
-        return cls(len(rows), cols, flat)
+        columns = tuple(
+            tuple((i, r[j]) for i, r in enumerate(rows) if r[j]) for j in range(cols)
+        )
+        return cls(len(rows), cols, columns)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        """Row ``i`` as a dense tuple."""
+        return tuple(dict(column).get(i, 0) for column in self.columns)
 
 
 def rank(matrix: MatrixGFp, field: PrimeField) -> int:
-    """Exact rank of ``matrix`` over GF(p) by Gaussian elimination.
+    """Exact rank of ``matrix`` over GF(p) by Gaussian elimination on columns.
 
-    Pivots on the first nonzero entry in column order; no magnitude
-    heuristics are needed since the arithmetic is exact. Degenerate shapes
-    (zero rows or columns) have rank 0.
+    Each column is copied into a dense working vector; the copy rejects an
+    entry outside ``1..p-1`` and a row index that is out of range or not
+    above the previous one. The vector is then walked from its first row
+    down: a nonzero entry in a row that leads a pivot column is cleared by
+    subtracting that pivot, and the first nonzero entry in any other row
+    makes the vector a new pivot, scaled to lead with 1. Entries are reduced
+    mod p when read, so the arithmetic stays exact in Python integers for
+    every characteristic. Degenerate shapes (zero rows or columns) have
+    rank 0.
     """
     p = field.p
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    a = np.array(matrix.entries, dtype=np.int64).reshape(matrix.rows, matrix.cols)
-    if int(a.max()) >= p:
-        raise ValueError(f"matrix entry out of range for GF({p})")
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+    nrows = matrix.rows
+    # leading row -> the pivot's entries below it, as (row, entry) pairs
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for column in matrix.columns:
+        v = [0] * nrows
+        last = -1
+        for i, e in column:
+            if not 0 < e < p:
+                raise ValueError(f"matrix entry {e} out of range for GF({p})")
+            if not last < i < nrows:
+                raise ValueError(f"row index {i} out of order or out of range for {nrows} rows")
+            v[i] = e
+            last = i
+        if not column or len(pivots) == nrows:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        prow = a[r]
-        inv = pow(int(prow[c]), -1, p)
-        prow *= inv
-        prow %= p
-        below = a[r + 1 :]
-        if below.size:
-            below -= np.outer(below[:, c], prow)
-            below %= p
-        r += 1
-    return r
+        for i in range(column[0][0], nrows):
+            f = v[i] % p
+            if f:
+                pivot = pivots.get(i)
+                if pivot is None:
+                    inv = pow(f, -1, p)
+                    pivots[i] = [(j, x * inv % p) for j in range(i + 1, nrows) if (x := v[j] % p)]
+                    break
+                for j, e in pivot:
+                    v[j] -= f * e
+    return len(pivots)
 
 
 def _small_binomial(n: int, k: int, p: int) -> int:

@@ -9,8 +9,7 @@ dimensions determine both generator degrees exactly.
 
 :func:`syzygy_profile` reads alpha off a single kernel dimension just below
 the midpoint of the generator degrees and derives beta from the degree
-relation; :func:`syzygy_profile_scan` finds both degrees independently by
-an ascending scan and exists as a cross-check.
+relation.
 """
 
 from __future__ import annotations
@@ -62,27 +61,16 @@ def presentation_matrix(field: PrimeField, d1: int, d2: int, d3: int, tau: int) 
     _check_degrees(d1, d2, d3)
     if tau < 0:
         raise ValueError("degree must be non-negative")
-    nrows = tau + 1
-    ncols = sum(max(0, tau - d + 1) for d in (d1, d2, d3))
-    entries = [0] * (nrows * ncols)
-    col = 0
+    columns = []
     # g1 * x^d1: monomial x^k y^(tau-d1-k) lands on the single row k + d1.
-    for k in range(tau - d1 + 1):
-        entries[(k + d1) * ncols + col] = 1
-        col += 1
+    columns += [((k + d1, 1),) for k in range(tau - d1 + 1)]
     # g2 * y^d2: x^k y^(tau-d2-k) lands on row k.
-    for k in range(tau - d2 + 1):
-        entries[k * ncols + col] = 1
-        col += 1
+    columns += [((k, 1),) for k in range(tau - d2 + 1)]
     # g3 * (x+y)^d3: binomial expansion spreads over rows k..k+d3.
     if tau >= d3:
-        coeffs = [binomial_mod_p(d3, j, field) for j in range(d3 + 1)]
-        for k in range(tau - d3 + 1):
-            for j, c in enumerate(coeffs):
-                if c:
-                    entries[(k + j) * ncols + col] = c
-            col += 1
-    return MatrixGFp(nrows, ncols, tuple(entries))
+        coeffs = [(j, c) for j in range(d3 + 1) if (c := binomial_mod_p(d3, j, field))]
+        columns += [tuple((k + j, c) for j, c in coeffs) for k in range(tau - d3 + 1)]
+    return MatrixGFp(tau + 1, len(columns), tuple(columns))
 
 
 def kernel_dimension(field: PrimeField, d1: int, d2: int, d3: int, tau: int) -> int:
@@ -125,37 +113,6 @@ def syzygy_profile(field: PrimeField, d1: int, d2: int, d3: int) -> SyzygyProfil
     """
     _check_degrees(d1, d2, d3)
     return _profile(field, d1, d2, d3)
-
-
-def syzygy_profile_scan(field: PrimeField, d1: int, d2: int, d3: int) -> SyzygyProfile:
-    """Locate both generator degrees by ascending kernel searches.
-
-    Independent of :func:`syzygy_profile`: alpha is the first degree with a
-    nonzero kernel (no relation can exist below both the largest generator
-    degree and the Koszul degree of the other two), and beta the first
-    degree where the kernel outgrows the multiples of the alpha generator.
-    Used as a cross-check.
-    """
-    _check_degrees(d1, d2, d3)
-    total = d1 + d2 + d3
-    alpha = None
-    for tau in range(_least_relation_degree(d1, d2, d3), total + 1):
-        kdim = kernel_dimension(field, d1, d2, d3, tau)
-        if alpha is None:
-            if kdim > 0:
-                alpha = tau
-                if kdim >= 2:
-                    return SyzygyProfile(alpha, tau)
-            elif tau > (total + 1) // 2:
-                raise RuntimeError(
-                    f"no relation found through the midpoint degree for "
-                    f"({d1}, {d2}, {d3}) over GF({field.p})"
-                )
-        elif kdim > tau - alpha + 1:
-            return SyzygyProfile(alpha, tau)
-    raise RuntimeError(
-        f"second generator not found for ({d1}, {d2}, {d3}) over GF({field.p})"
-    )
 
 
 def delta_value(field: PrimeField, d1: int, d2: int, d3: int) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations, product
 
-from lefschetz import MatrixGFp
+from lefschetz import MatrixGFp, SyzygyProfile, kernel_dimension
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -80,6 +80,36 @@ def delta_zero_by_search(p: int, d1: int, d2: int, d3: int) -> bool:
         if step >= d1 + d2 + d3:
             return True
         s += 1
+
+
+def syzygy_profile_scan(field, d1: int, d2: int, d3: int) -> SyzygyProfile:
+    """Locate both generator degrees by ascending kernel searches.
+
+    Independent of ``syzygy_profile``: alpha is the first degree with a
+    nonzero kernel (no relation can exist below both the largest generator
+    degree and the Koszul degree of the other two), and beta the first
+    degree where the kernel outgrows the multiples of the alpha generator.
+    """
+    total = d1 + d2 + d3
+    biggest = max(d1, d2, d3)
+    alpha = None
+    for tau in range(min(biggest, total - biggest), total + 1):
+        kdim = kernel_dimension(field, d1, d2, d3, tau)
+        if alpha is None:
+            if kdim > 0:
+                alpha = tau
+                if kdim >= 2:
+                    return SyzygyProfile(alpha, tau)
+            elif tau > (total + 1) // 2:
+                raise RuntimeError(
+                    f"no relation found through the midpoint degree for "
+                    f"({d1}, {d2}, {d3}) over GF({field.p})"
+                )
+        elif kdim > tau - alpha + 1:
+            return SyzygyProfile(alpha, tau)
+    raise RuntimeError(
+        f"second generator not found for ({d1}, {d2}, {d3}) over GF({field.p})"
+    )
 
 
 def transpose(matrix: MatrixGFp) -> MatrixGFp:

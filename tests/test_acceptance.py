@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from conftest import count_monomials, power_times_monomial_is_zero
+from conftest import count_monomials, power_times_monomial_is_zero, syzygy_profile_scan
 from lefschetz import (
     MonomialCI,
     PrimeField,
@@ -24,7 +24,6 @@ from lefschetz import (
     region,
     slp_step_check,
     syzygy_profile,
-    syzygy_profile_scan,
 )
 
 FIELDS_4 = tuple(PrimeField(p) for p in (2, 3, 5, 7))

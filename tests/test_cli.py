@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lefschetz
+from lefschetz import prime_field
 from lefschetz.cli import main
 
 
@@ -163,6 +168,28 @@ class TestVerify:
             assert cells[6] == "true"
             assert len({cells[2], cells[3], cells[4], cells[5]}) == 1
 
+    def test_fields_built_once_per_prime(self, monkeypatch, capsys):
+        # primality is checked per prime, not per algebra or per route
+        calls = []
+        real = prime_field._is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(prime_field, "_is_prime", counting)
+        counts = []
+        for top in ("4", "8"):
+            calls.clear()
+            code, _, _ = run_cli(
+                ["verify", "--primes", "2,3", "--n", "2", "--max", top,
+                 "--modes", "oracle,digits,manhattan,delta", "--jobs", "1"],
+                capsys,
+            )
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_elapsed_goes_to_stderr_only(self, capsys):
         _, out, err = run_cli(self.BASE + ["--format", "text"], capsys)
         assert "elapsed" not in out
@@ -248,3 +275,10 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(lefschetz.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, lefschetz.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

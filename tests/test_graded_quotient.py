@@ -104,12 +104,12 @@ class TestMultMatrix:
     def test_square_of_sum_p3(self):
         gm = mult_matrix(MonomialCI(F3, (2, 2)), 2, 0)
         assert (gm.matrix.rows, gm.matrix.cols) == (1, 1)
-        assert gm.matrix.entries == (2,)
+        assert gm.matrix.row(0) == (2,)
         assert rank(gm.matrix, F3) == 1
 
     def test_square_of_sum_p2(self):
         gm = mult_matrix(MonomialCI(F2, (2, 2)), 2, 0)
-        assert gm.matrix.entries == (0,)
+        assert gm.matrix.row(0) == (0,)
         assert rank(gm.matrix, F2) == 0
 
     def test_above_top_degree_has_no_rows(self):
@@ -159,7 +159,7 @@ class TestMultMatrix:
                         expected = math.factorial(power)
                         for x in diff:
                             expected //= math.factorial(x)
-                    got = gm.matrix.entries[row * gm.matrix.cols + col]
+                    got = gm.matrix.row(row)[col]
                     assert got == expected, (power, degree, mono, target)
 
 

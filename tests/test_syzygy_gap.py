@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import syzygy_profile_scan
 from lefschetz import (
     MonomialCI,
     PrimeField,
@@ -20,7 +21,6 @@ from lefschetz import (
     region,
     slp_via_delta,
     syzygy_profile,
-    syzygy_profile_scan,
 )
 
 F2 = PrimeField(2)
