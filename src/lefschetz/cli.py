@@ -59,6 +59,12 @@ def _parse_int(text: str, what: str) -> int:
         raise UsageError(f"malformed {what}: {text!r}") from None
 
 
+def _reject_repeats(values, what: str) -> None:
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise UsageError(f"repeated {what}s: {', '.join(map(str, repeated))}")
+
+
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -221,6 +227,7 @@ def _sweep_config(args) -> dict:
     if primes_text is None:
         raise UsageError("verify needs --primes (or 'primes' in the config file)")
     primes = _parse_int_list(primes_text, "prime list")
+    _reject_repeats(primes, "prime")
     fields = {p: _field(p) for p in primes}
 
     n_text = pick(args.n, "n")
@@ -239,6 +246,7 @@ def _sweep_config(args) -> dict:
     modes = tuple(m.strip() for m in modes_text.split(",") if m.strip())
     if not modes:
         raise UsageError("empty modes")
+    _reject_repeats(modes, "mode")
     _check_modes(modes, n)
 
     fmt = pick(args.format, "format") or "text"

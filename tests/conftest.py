@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations, product
 
-from lefschetz import MatrixGFp, SyzygyProfile, kernel_dimension
+from lefschetz import MatrixGFp, SyzygyProfile, kernel_dimension, max_rank_in_every_degree
+from lefschetz.lefschetz_oracle import _candidate_powers
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -110,6 +111,18 @@ def syzygy_profile_scan(field, d1: int, d2: int, d3: int) -> SyzygyProfile:
     raise RuntimeError(
         f"second generator not found for ({d1}, {d2}, {d3}) over GF({field.p})"
     )
+
+
+def slp_oracle_over_every_degree(algebra) -> tuple[bool, int | None]:
+    """The oracle with every low degree checked for each candidate power.
+
+    Returns ``(has_slp, failing_exponent)``: the candidate powers in
+    descending order, each tested by ``max_rank_in_every_degree``.
+    """
+    for power in _candidate_powers(algebra):
+        if not max_rank_in_every_degree(algebra, power):
+            return False, power
+    return True, None
 
 
 def transpose(matrix: MatrixGFp) -> MatrixGFp:

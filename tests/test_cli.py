@@ -262,6 +262,8 @@ class TestVerify:
             pytest.param([], b"max = \xff\n", id="undecodable-config"),
             pytest.param(["--config", "{tmp}/missing.cfg"], None, id="missing-config"),
             pytest.param(["--out", "{tmp}/missing/report.txt"], None, id="unwritable-out"),
+            pytest.param(["--primes", "2,3,2"], None, id="repeated-prime-flag"),
+            pytest.param(["--modes", "digits,digits"], None, id="repeated-mode-flag"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, flags, config, tmp_path, capsys):

@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
-from conftest import count_monomials, power_times_monomial_is_zero
+from conftest import count_monomials, power_times_monomial_is_zero, slp_oracle_over_every_degree
 from lefschetz import (
     MonomialCI,
     PrimeField,
     is_slp_oracle,
     is_wlp_oracle,
     kernel_witness,
+    lefschetz_oracle,
     max_rank_in_every_degree,
+    rank,
     slp_step_check,
 )
+from lefschetz.lefschetz_oracle import _candidate_powers
+from lefschetz.prime_field import MAX_CHARACTERISTIC
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -77,6 +82,46 @@ class TestSlpOracle:
                 algebra = MonomialCI(field, ds)
                 assert is_slp_oracle(algebra).has_slp == full_slp_check(algebra), (p, ds)
 
+    @pytest.mark.parametrize(
+        "primes, exponent_tuples",
+        [
+            pytest.param(
+                (2, 3, 5, 7),
+                [(a, b) for a in range(1, 17) for b in range(a, 17)],
+                id="pairs",
+            ),
+            pytest.param((2, 3, 5), list(product(range(1, 7), repeat=3)), id="triples"),
+            pytest.param((2, 3, 5), list(product(range(1, 4), repeat=4)), id="quadruples"),
+        ],
+    )
+    def test_central_degree_matches_every_degree(self, primes, exponent_tuples):
+        for p in primes:
+            field = PrimeField(p)
+            for ds in exponent_tuples:
+                algebra = MonomialCI(field, ds)
+                v = is_slp_oracle(algebra)
+                assert (v.has_slp, v.failing_exponent) == slp_oracle_over_every_degree(
+                    algebra
+                ), (p, ds)
+
+    def test_one_rank_per_tested_power(self, monkeypatch):
+        calls = []
+
+        def counting_rank(matrix, field):
+            calls.append((matrix.rows, matrix.cols))
+            return rank(matrix, field)
+
+        monkeypatch.setattr(lefschetz_oracle, "rank", counting_rank)
+        algebra = MonomialCI(PrimeField(31), (5, 6, 7))
+        assert is_slp_oracle(algebra).has_slp
+        assert len(calls) == len(_candidate_powers(algebra)) == 8
+        # every tested map is square: A_i -> A_(t-i)
+        assert all(rows == cols for rows, cols in calls)
+
+        calls.clear()
+        v = is_slp_oracle(MonomialCI(F2, (4, 5)))
+        assert v.failing_exponent == 5 and len(calls) == 2
+
     def test_slp_implies_wlp_on_sweep(self):
         for p in (2, 3, 5):
             field = PrimeField(p)
@@ -96,6 +141,13 @@ class TestSlpOracle:
             algebra = MonomialCI(PrimeField(p), ds)
             assert is_slp_oracle(algebra).has_slp
             assert is_wlp_oracle(algebra)
+
+    @pytest.mark.parametrize("ds", [(40, 41), (5, 6, 7), (3, 3, 3, 3)])
+    def test_maximal_characteristic_always_works(self, ds):
+        # t < p, so the property holds; the entries are binomials reduced mod p
+        algebra = MonomialCI(PrimeField(MAX_CHARACTERISTIC), ds)
+        assert is_slp_oracle(algebra).has_slp
+        assert is_wlp_oracle(algebra)
 
 
 class TestWlpOracle:
