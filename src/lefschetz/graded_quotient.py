@@ -14,7 +14,6 @@ globally so matrices are reproducible bit for bit across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .prime_field import MatrixGFp, PrimeField, binomial_mod_p
 
@@ -83,16 +82,20 @@ def graded_basis(algebra: MonomialCI, degree: int) -> tuple[ExponentVector, ...]
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _hilbert_vector(algebra: MonomialCI) -> tuple[int, ...]:
-    # Coefficients of prod_j (1 + x + ... + x^(dj - 1)).
+    # Coefficients of prod_j (1 + x + ... + x^(dj - 1)). Multiplying by one
+    # factor replaces each coefficient by the sum of the last dj ones, kept
+    # as a running window sum: O(n * t) in all.
     coeffs = [1]
     for d in algebra.exponents:
-        new = [0] * (len(coeffs) + d - 1)
-        for i, c in enumerate(coeffs):
-            for k in range(d):
-                new[i + k] += c
-        coeffs = new
+        padded = coeffs + [0] * (d - 1)
+        coeffs = []
+        window = 0
+        for k, c in enumerate(padded):
+            window += c
+            if k >= d:
+                window -= padded[k - d]
+            coeffs.append(window)
     return tuple(coeffs)
 
 

@@ -86,8 +86,11 @@ def _verify_witness(algebra: MonomialCI, monomial: tuple[int, int], power: int) 
     e1, e2 = monomial
     if e1 >= d1 or e2 >= d2:
         raise RuntimeError("witness construction produced a zero monomial")
-    for j in range(power + 1):
-        if binomial_mod_p(power, j, field) and e1 + j < d1 and e2 + power - j < d2:
+    # Only the terms x^(e1 + j) y^(e2 + power - j) that survive in the
+    # quotient (e1 + j < d1 and e2 + power - j < d2) are expanded; each
+    # must have a binomial coefficient divisible by p.
+    for j in range(max(0, e2 + power - d2 + 1), min(power, d1 - 1 - e1) + 1):
+        if binomial_mod_p(power, j, field):
             raise RuntimeError("witness construction produced a surviving term")
     deg = e1 + e2
     if hilbert_function(algebra, deg) > hilbert_function(algebra, deg + power):

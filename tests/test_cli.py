@@ -104,8 +104,52 @@ class TestSyzgap:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(cmd + flags, id=f"{cmd[0]}-{case}")
+        for cmd, good_d in [
+            (["check"], "2,3"),
+            (["classify"], "2,3"),
+            (["wlp"], "2,3"),
+            (["syzgap"], "2,2,2"),
+        ]
+        for case, flags in [
+            ("composite-p", ["--p", "4", "--d", good_d]),
+            ("zero-p", ["--p", "0", "--d", good_d]),
+            ("negative-p", ["--p=-3", "--d", good_d]),
+            ("p-above-cap", ["--p", str(2**31), "--d", good_d]),
+            ("malformed-d", ["--p", "3", "--d", "2,x"]),
+            ("empty-d", ["--p", "3", "--d", ""]),
+            ("separators-only-d", ["--p", "3", "--d", ","]),
+        ]
+    ]
+    + [
+        pytest.param(["check", "--p", "3", "--d", "1,4"], id="check-exponent-below-2"),
+        pytest.param(["classify", "--p", "3", "--d", "1,4"], id="classify-exponent-below-2"),
+        pytest.param(["wlp", "--p", "3", "--d", "0,3"], id="wlp-exponent-below-1"),
+        pytest.param(["syzgap", "--p", "3", "--d", "0,1,1"], id="syzgap-degree-below-1"),
+        pytest.param(
+            ["check", "--p", "3", "--d", "2,2,2", "--mode", "manhattan"],
+            id="check-manhattan-three-variables",
+        ),
+        pytest.param(
+            ["check", "--p", "3", "--d", "4", "--mode", "manhattan"],
+            id="check-manhattan-one-variable",
+        ),
+        pytest.param(["syzgap", "--p", "3", "--d", "2,2"], id="syzgap-two-degrees"),
+    ],
+)
+def test_single_algebra_bad_input_is_a_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestVerify:
-    BASE = ["verify", "--primes", "2,3", "--n", "2", "--max", "8",
+    BASE =["verify", "--primes", "2,3", "--n", "2", "--max", "8",
             "--modes", "oracle,digits", "--jobs", "1"]
 
     def test_agreement_and_exit_zero(self, capsys):

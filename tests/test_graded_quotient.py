@@ -77,6 +77,16 @@ class TestHilbertFunction:
                 assert hf == len(graded_basis(a, i))
                 assert hf == count_monomials(exps, i)
 
+    @pytest.mark.parametrize("n, bounds", [(1, range(1, 7)), (2, range(1, 7)),
+                                           (3, range(1, 5)), (4, range(1, 4))])
+    def test_matches_monomial_count_on_small_grids(self, n, bounds):
+        # covers exponent 1 (a one-term window), degrees past the top
+        # degree, and degrees below an exponent (a window still filling)
+        for exps in product(bounds, repeat=n):
+            a = MonomialCI(F2, exps)
+            for i in range(a.top_degree + 3):
+                assert hilbert_function(a, i) == count_monomials(exps, i), (exps, i)
+
     def test_symmetry_about_half_top(self):
         for exps in [(2, 2), (3, 5), (2, 3, 4), (4, 4, 4)]:
             a = MonomialCI(F3, exps)

@@ -207,3 +207,39 @@ class TestKernelWitness:
             algebra = MonomialCI(PrimeField(p), pair)
             w = kernel_witness(algebra)
             assert not max_rank_in_every_degree(algebra, w.power)
+
+
+class TestVerifyWitness:
+    """Forged witnesses must be refused before they reach a report."""
+
+    @pytest.mark.parametrize(
+        "p, d, monomial, power, message",
+        [
+            pytest.param(2, (2, 2), (2, 0), 1, "zero monomial", id="zero-monomial"),
+            # (x + y) * y in K[x,y]/(x^2, y^2): only j = 1 (x y) survives,
+            # the lowest j the range admits
+            pytest.param(3, (2, 2), (0, 1), 1, "surviving term", id="low-end-term"),
+            # (x + y) * x: only j = 0 (x y) survives, the highest j admitted
+            pytest.param(3, (2, 2), (1, 0), 1, "surviving term", id="high-end-term"),
+            # (x + y) * x y vanishes, but A_2 has dimension 1 and A_3 none
+            pytest.param(2, (2, 2), (1, 1), 1, "smaller than the source", id="source-too-big"),
+        ],
+    )
+    def test_forged_witness_is_rejected(self, p, d, monomial, power, message):
+        with pytest.raises(RuntimeError, match=message):
+            lefschetz_oracle._verify_witness(MonomialCI(PrimeField(p), d), monomial, power)
+
+    def test_surviving_term_error_matches_direct_expansion(self):
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            for d1, d2 in product(range(1, 6), repeat=2):
+                algebra = MonomialCI(field, (d1, d2))
+                for e1, e2 in product(range(d1), range(d2)):
+                    for power in range(1, d1 + d2 + 1):
+                        try:
+                            lefschetz_oracle._verify_witness(algebra, (e1, e2), power)
+                            surviving = False
+                        except RuntimeError as exc:
+                            surviving = "surviving term" in str(exc)
+                        expected = not power_times_monomial_is_zero(p, d1, d2, e1, e2, power)
+                        assert surviving == expected, (p, d1, d2, e1, e2, power)
