@@ -18,7 +18,6 @@ from .classifier import (
     slp_step_check,
 )
 from .graded_quotient import (
-    GradedMap,
     MonomialCI,
     graded_basis,
     hilbert_function,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConditionReport",
     "DigitDecomposition",
-    "GradedMap",
     "KernelWitness",
     "MatrixGFp",
     "MonomialCI",

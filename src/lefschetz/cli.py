@@ -42,6 +42,13 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    # Input argparse rejects is a usage error like any other: one
+    # ``error:`` line and exit code 2, without the usage block.
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip() != "")
@@ -395,7 +402,7 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lefschetz",
         description="Decide the strong/weak Lefschetz property of monomial "
         "complete intersections over GF(p), exactly.",
@@ -440,8 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,12 @@ exists, so nothing is lost.
 
 Monomials are exponent tuples ``(e1, ..., en)`` with ``0 <= ej < dj``.
 Bases are ordered by descending lexicographic order on exponents, fixed
-globally so matrices are reproducible bit for bit across runs.
+globally so matrices are reproducible bit for bit across runs. In that
+order a degree piece falls into row blocks, one per prefix
+``(e1, ..., e(n-2))``: the monomials of a block sit on consecutive rows,
+the exponent of x(n-1) falling by one per row. Multiplication matrices are
+filled block by block, so the last two variables cost one window of
+binomials per block and no basis lookup per entry.
 """
 
 from __future__ import annotations
@@ -47,15 +52,6 @@ class MonomialCI:
     def top_degree(self) -> int:
         """Largest degree with a nonzero graded piece: sum of (dj - 1)."""
         return sum(d - 1 for d in self.exponents)
-
-
-@dataclass(frozen=True)
-class GradedMap:
-    """Matrix of multiplication by (x1 + ... + xn)^m from degree i to i + m."""
-
-    source_degree: int
-    exponent: int
-    matrix: MatrixGFp
 
 
 def graded_basis(algebra: MonomialCI, degree: int) -> tuple[ExponentVector, ...]:
@@ -107,52 +103,76 @@ def hilbert_function(algebra: MonomialCI, degree: int) -> int:
     return vec[degree] if degree < len(vec) else 0
 
 
-def _column_terms(algebra, mono, power):
-    # Expansion of (x1 + ... + xn)^power * mono inside the quotient: pairs
-    # (target exponent tuple, coefficient mod p). Multinomial coefficients
-    # come from chained Lucas binomials; branches that would push an
-    # exponent to its bound are pruned.
-    field = algebra.field
-    exps = algebra.exponents
-    last = len(exps) - 1
-    p = field.p
-    out = []
-
-    def walk(pos: int, remaining: int, coeff: int, prefix: ExponentVector) -> None:
-        if pos == last:
-            e = mono[pos] + remaining
-            if e < exps[pos]:
-                out.append((prefix + (e,), coeff))
-            return
-        cap = min(remaining, exps[pos] - 1 - mono[pos])
-        for k in range(cap + 1):
-            c = binomial_mod_p(remaining, k, field)
-            if c:
-                walk(pos + 1, remaining - k, coeff * c % p, prefix + (mono[pos] + k,))
-
-    walk(0, power, 1, ())
-    return out
-
-
-def mult_matrix(algebra: MonomialCI, power: int, degree: int) -> GradedMap:
+def mult_matrix(algebra: MonomialCI, power: int, degree: int) -> MatrixGFp:
     """Matrix of multiplication by (x1 + ... + xn)^power on the degree piece.
 
     Columns are indexed by the basis of the source degree, rows by the basis
     of the target degree; degenerate (zero-row or zero-column) shapes are
     allowed and simply have rank 0.
+
+    A column x^e is expanded over the first n - 2 variables only, as the
+    chained binomials of the multinomial coefficients. Each resulting
+    prefix names one row block of the target basis, and with r of the power
+    left, the block receives C(r, k) x(n-1)^(e(n-1) + k) x(n)^(e(n) + r - k)
+    for the window of k that keeps both exponents below their bounds, on
+    consecutive rows. The binomial rows C(r, .) mod p come from
+    :func:`binomial_mod_p`, each r at most once per call.
     """
     if power < 1:
         raise ValueError("power must be at least 1")
     src = graded_basis(algebra, degree)
     dst = graded_basis(algebra, degree + power)
-    row_of = {mono: i for i, mono in enumerate(dst)}
-    # _column_terms yields targets in ascending lexicographic order, which is
-    # descending row order on the descending-lexicographic basis.
-    columns = tuple(
-        tuple(
-            (row_of[target], coeff)
-            for target, coeff in reversed(_column_terms(algebra, mono, power))
-        )
-        for mono in src
-    )
-    return GradedMap(degree, power, MatrixGFp(len(dst), len(src), columns))
+    if algebra.num_variables == 1:
+        # x^power * x^degree: one target row at most, coefficient 1.
+        return MatrixGFp(len(dst), len(src), tuple(((0, 1),) if dst else () for _ in src))
+    field = algebra.field
+    p = field.p
+    exps = algebra.exponents
+    split = len(exps) - 2
+    da, db = exps[split], exps[split + 1]
+    # prefix (e1 .. e(n-2)) -> first row of its block + e(n-1) on that row,
+    # so x(n-1)^e x(n)^(...) with that prefix sits on row block[prefix] - e.
+    block: dict[ExponentVector, int] = {}
+    for row, mono in enumerate(dst):
+        block.setdefault(mono[:split], row + mono[split])
+    # Row r of binomials holds C(r, k) mod p for the steps k that can reach a
+    # target: no variable but the last steps by more than `head`, and the
+    # variables after x1 take at most `tail` of the r. Other entries stay 0.
+    head = max(exps[:-1]) - 1
+    tail = algebra.top_degree - (exps[0] - 1)
+    binomials: dict[int, list[int]] = {}
+
+    def binomial_row(r: int) -> list[int]:
+        binom = binomials.get(r)
+        if binom is None:
+            lo = max(0, r - tail)
+            binom = [0] * lo + [binomial_mod_p(r, k, field) for k in range(lo, min(r, head) + 1)]
+            binomials[r] = binom
+        return binom
+
+    def walk(mono, pos, r, coeff, prefix, out) -> None:
+        # Appends the terms of coeff * (x(pos+1) + ... + xn)^r * mono with
+        # the given prefix, in increasing row order: larger steps in earlier
+        # variables come first in descending lexicographic order.
+        if pos == split:
+            ea = mono[pos]
+            lo = max(0, r - (db - 1 - mono[pos + 1]))
+            hi = min(r, da - 1 - ea)
+            if lo > hi:
+                return  # the prefix may have no target monomial at all
+            base = block[prefix] - ea
+            binom = binomial_row(r)
+            out.extend((base - k, coeff * c % p) for k in range(hi, lo - 1, -1) if (c := binom[k]))
+            return
+        e = mono[pos]
+        binom = binomial_row(r)
+        for k in range(min(r, exps[pos] - 1 - e), -1, -1):
+            if c := binom[k]:
+                walk(mono, pos + 1, r - k, coeff * c % p, prefix + (e + k,), out)
+
+    columns = []
+    for mono in src:
+        out: list[tuple[int, int]] = []
+        walk(mono, 0, power, 1, (), out)
+        columns.append(tuple(out))
+    return MatrixGFp(len(dst), len(src), tuple(columns))

@@ -22,7 +22,7 @@ before it is returned.
 from __future__ import annotations
 
 from .classifier import slp_step_check
-from .graded_quotient import MonomialCI, hilbert_function, mult_matrix
+from .graded_quotient import MonomialCI, _hilbert_vector, mult_matrix
 from .prime_field import binomial_mod_p, rank
 from .verdict import KernelWitness, SlpVerdict
 
@@ -43,8 +43,8 @@ def max_rank_in_every_degree(algebra: MonomialCI, power: int) -> bool:
         raise ValueError("power must be at least 1")
     limit = (algebra.top_degree - power) // 2
     for i in range(limit + 1):
-        gm = mult_matrix(algebra, power, i)
-        if rank(gm.matrix, algebra.field) != hilbert_function(algebra, i):
+        matrix = mult_matrix(algebra, power, i)
+        if rank(matrix, algebra.field) != matrix.cols:
             return False
     return True
 
@@ -67,8 +67,8 @@ def is_slp_oracle(algebra: MonomialCI) -> SlpVerdict:
     t = algebra.top_degree
     for power in _candidate_powers(algebra):
         degree = (t - power) // 2
-        gm = mult_matrix(algebra, power, degree)
-        if rank(gm.matrix, algebra.field) != hilbert_function(algebra, degree):
+        matrix = mult_matrix(algebra, power, degree)
+        if rank(matrix, algebra.field) != matrix.cols:
             return SlpVerdict(False, "oracle", failing_exponent=power)
     return SlpVerdict(True, "oracle")
 
@@ -92,8 +92,9 @@ def _verify_witness(algebra: MonomialCI, monomial: tuple[int, int], power: int) 
     for j in range(max(0, e2 + power - d2 + 1), min(power, d1 - 1 - e1) + 1):
         if binomial_mod_p(power, j, field):
             raise RuntimeError("witness construction produced a surviving term")
-    deg = e1 + e2
-    if hilbert_function(algebra, deg) > hilbert_function(algebra, deg + power):
+    hilbert = _hilbert_vector(algebra)
+    deg, target = e1 + e2, e1 + e2 + power
+    if hilbert[deg] > (hilbert[target] if target < len(hilbert) else 0):
         raise RuntimeError("witness target piece is smaller than the source piece")
 
 

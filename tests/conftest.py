@@ -160,6 +160,36 @@ def count_monomials(exponents, degree: int) -> int:
     return count(0, degree)
 
 
+def mult_matrix_by_expansion(algebra, power: int, degree: int) -> MatrixGFp:
+    """Dense matrix of multiplication by (x1 + ... + xn)^power on a degree piece.
+
+    Independent of the library's build: bases by filtering every exponent
+    tuple and sorting it in descending lexicographic order, entries as
+    integer multinomial coefficients from ``math.comb`` reduced mod p.
+    """
+    exps = algebra.exponents
+
+    def basis(d):
+        return sorted((e for e in product(*map(range, exps)) if sum(e) == d), reverse=True)
+
+    def multinomial(steps):
+        out, total = 1, 0
+        for k in steps:
+            total += k
+            out *= math.comb(total, k)
+        return out
+
+    src, dst = basis(degree), basis(degree + power)
+    rows = []
+    for target in dst:
+        row = []
+        for mono in src:
+            steps = [t - e for t, e in zip(target, mono)]
+            row.append(multinomial(steps) % algebra.field.p if min(steps) >= 0 else 0)
+        rows.append(row)
+    return MatrixGFp.from_rows(rows, cols=len(src))
+
+
 def power_times_monomial_is_zero(p: int, d1: int, d2: int, e1: int, e2: int, power: int) -> bool:
     """Whether (x+y)^power * x^e1 y^e2 vanishes in K[x,y]/(x^d1, y^d2).
 

@@ -17,7 +17,7 @@ from lefschetz.cli import main
 def run_cli(argv, capsys):
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse errors
+    except SystemExit as exc:  # --help
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
@@ -122,6 +122,9 @@ class TestSyzgap:
             ("malformed-d", ["--p", "3", "--d", "2,x"]),
             ("empty-d", ["--p", "3", "--d", ""]),
             ("separators-only-d", ["--p", "3", "--d", ","]),
+            ("non-integer-p", ["--p", "x", "--d", good_d]),
+            ("missing-d", ["--p", "3"]),
+            ("unknown-flag", ["--p", "3", "--d", good_d, "--bogus", "1"]),
         ]
     ]
     + [
@@ -138,6 +141,10 @@ class TestSyzgap:
             id="check-manhattan-one-variable",
         ),
         pytest.param(["syzgap", "--p", "3", "--d", "2,2"], id="syzgap-two-degrees"),
+        pytest.param(["check", "--p", "3", "--d", "2,2", "--mode", "bogus"],
+                     id="check-unknown-mode"),
+        pytest.param(["bogus"], id="unknown-subcommand"),
+        pytest.param([], id="no-subcommand"),
     ],
 )
 def test_single_algebra_bad_input_is_a_usage_error(argv, capsys):
@@ -308,6 +315,7 @@ class TestVerify:
             pytest.param(["--out", "{tmp}/missing/report.txt"], None, id="unwritable-out"),
             pytest.param(["--primes", "2,3,2"], None, id="repeated-prime-flag"),
             pytest.param(["--modes", "digits,digits"], None, id="repeated-mode-flag"),
+            pytest.param(["--bogus"], None, id="unknown-flag"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, flags, config, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_monomials, matmul_mod
+from conftest import count_monomials, matmul_mod, mult_matrix_by_expansion
 from lefschetz import (
     MonomialCI,
     PrimeField,
@@ -112,21 +112,21 @@ class TestHilbertFunction:
 
 class TestMultMatrix:
     def test_square_of_sum_p3(self):
-        gm = mult_matrix(MonomialCI(F3, (2, 2)), 2, 0)
-        assert (gm.matrix.rows, gm.matrix.cols) == (1, 1)
-        assert gm.matrix.row(0) == (2,)
-        assert rank(gm.matrix, F3) == 1
+        m = mult_matrix(MonomialCI(F3, (2, 2)), 2, 0)
+        assert (m.rows, m.cols) == (1, 1)
+        assert m.row(0) == (2,)
+        assert rank(m, F3) == 1
 
     def test_square_of_sum_p2(self):
-        gm = mult_matrix(MonomialCI(F2, (2, 2)), 2, 0)
-        assert gm.matrix.row(0) == (0,)
-        assert rank(gm.matrix, F2) == 0
+        m = mult_matrix(MonomialCI(F2, (2, 2)), 2, 0)
+        assert m.row(0) == (0,)
+        assert rank(m, F2) == 0
 
     def test_above_top_degree_has_no_rows(self):
         a = MonomialCI(F3, (2, 2))
-        gm = mult_matrix(a, a.top_degree + 1, 0)
-        assert gm.matrix.rows == 0
-        assert gm.matrix.cols == 1
+        m = mult_matrix(a, a.top_degree + 1, 0)
+        assert m.rows == 0
+        assert m.cols == 1
 
     def test_power_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -134,11 +134,11 @@ class TestMultMatrix:
 
     def test_first_power_on_two_variables(self):
         # multiplication by x+y from degree 1 of K[x,y]/(x^2, y^3)
-        gm = mult_matrix(MonomialCI(F2, (2, 3)), 1, 1)
-        assert gm.matrix.rows == 2 and gm.matrix.cols == 2
+        m = mult_matrix(MonomialCI(F2, (2, 3)), 1, 1)
+        assert m.rows == 2 and m.cols == 2
         # basis degree 1: x, y; degree 2: xy, y^2
-        assert gm.matrix.row(0) == (1, 1)
-        assert gm.matrix.row(1) == (0, 1)
+        assert m.row(0) == (1, 1)
+        assert m.row(1) == (0, 1)
 
     def test_composition_of_powers(self):
         for field, exps in [(F3, (3, 4)), (F2, (2, 3, 2)), (PrimeField(5), (4, 4))]:
@@ -147,9 +147,9 @@ class TestMultMatrix:
             for i in range(t):
                 for m1 in range(1, t - i + 1):
                     for m2 in range(1, t - i - m1 + 1):
-                        whole = mult_matrix(a, m1 + m2, i).matrix
-                        second = mult_matrix(a, m2, i + m1).matrix
-                        first = mult_matrix(a, m1, i).matrix
+                        whole = mult_matrix(a, m1 + m2, i)
+                        second = mult_matrix(a, m2, i + m1)
+                        first = mult_matrix(a, m1, i)
                         assert whole == matmul_mod(second, first, field.p), (exps, i, m1, m2)
 
     def test_entries_are_integer_multinomials_for_large_p(self):
@@ -157,7 +157,7 @@ class TestMultMatrix:
         big = PrimeField(1009)
         a = MonomialCI(big, (3, 3, 3))
         for power, degree in [(2, 1), (3, 0), (4, 2)]:
-            gm = mult_matrix(a, power, degree)
+            m = mult_matrix(a, power, degree)
             src = graded_basis(a, degree)
             dst = graded_basis(a, degree + power)
             for col, mono in enumerate(src):
@@ -169,8 +169,25 @@ class TestMultMatrix:
                         expected = math.factorial(power)
                         for x in diff:
                             expected //= math.factorial(x)
-                    got = gm.matrix.row(row)[col]
+                    got = m.row(row)[col]
                     assert got == expected, (power, degree, mono, target)
+
+    def test_matches_dense_expansion_on_small_grids(self):
+        # every power 1..t+1 and degree 0..t+1: empty target and source
+        # pieces, exponents equal to 1, and collapse mod 2 and 3
+        grids = [(1, 6), (2, 6), (3, 4), (4, 3)]
+        for p in (2, 3, 31):
+            field = PrimeField(p)
+            for n, largest in grids:
+                for exps in product(range(1, largest + 1), repeat=n):
+                    a = MonomialCI(field, exps)
+                    t = a.top_degree
+                    for power in range(1, t + 2):
+                        for degree in range(t + 2):
+                            expected = mult_matrix_by_expansion(a, power, degree)
+                            assert mult_matrix(a, power, degree) == expected, (
+                                p, exps, power, degree,
+                            )
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,6 +198,6 @@ def test_column_count_matches_source_dimension(data):
     a = MonomialCI(PrimeField(p), exps)
     degree = data.draw(st.integers(0, a.top_degree + 1))
     power = data.draw(st.integers(1, a.top_degree + 2))
-    gm = mult_matrix(a, power, degree)
-    assert gm.matrix.cols == hilbert_function(a, degree)
-    assert gm.matrix.rows == hilbert_function(a, degree + power)
+    m = mult_matrix(a, power, degree)
+    assert m.cols == hilbert_function(a, degree)
+    assert m.rows == hilbert_function(a, degree + power)
