@@ -42,11 +42,6 @@ LAYERS = ("mult_matrix", "rank")
 REPEATS = 9
 
 
-def _matrix(built):
-    # Versions before the mult_matrix rewrite return a graded map holding it.
-    return getattr(built, "matrix", built)
-
-
 def _central_maps(grid: str) -> list[tuple[int, tuple[int, ...], int, int]]:
     # (p, exponents, power, source degree) of every map the oracle builds on
     # the grid, recorded by running it with mult_matrix wrapped.
@@ -82,7 +77,7 @@ def _time_layer(layer: str, maps) -> float:
         for algebra, power, degree in calls:
             lz.mult_matrix(algebra, power, degree)
     else:
-        matrices = [(_matrix(lz.mult_matrix(*call)), call[0].field) for call in calls]
+        matrices = [(lz.mult_matrix(*call), call[0].field) for call in calls]
         started = time.perf_counter()
         for matrix, field in matrices:
             lz.rank(matrix, field)

@@ -314,7 +314,9 @@ def _run_sweep(config) -> dict:
     fields = config["fields"]
     tasks = [(fields[p], ds, tuple(config["modes"])) for p, ds in
              _grid(config["primes"], config["n"], config["max_exponent"])]
-    jobs = min(config["jobs"], len(tasks)) or 1
+    # More workers than processors only add interpreters; the report does
+    # not depend on the worker count.
+    jobs = min(config["jobs"], len(tasks), _available_cpus()) or 1
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             entries = pool.map(_sweep_worker, tasks, chunksize=32)

@@ -1,18 +1,21 @@
 """Ground-truth Lefschetz decisions by exact rank computation.
 
 The oracle multiplies out powers of the sum of the variables on monomial
-bases and checks ranks over GF(p). Three reductions keep the work small, all
-exact consequences of the symmetry of the Hilbert function:
+bases and checks ranks over GF(p). Every power, for the SLP, the WLP and
+:func:`max_rank_in_every_degree`, is decided by one square or central map.
+Three reductions keep the work that small, all exact:
 
 * a power has maximal rank in every degree as soon as the maps from the
-  low degrees (source degree at most (t - m)/2) are injective;
+  low degrees (source degree at most (t - m)/2) are injective, by the
+  symmetry of the Hilbert function (Gorenstein duality turns surjectivity
+  above the centre into injectivity below it);
 * in two variables only the powers a + b - 2c for 1 <= c < min(a, b) need
   testing, and in general only powers m with t - m even, since maximal rank
   at such an m forces it at m + 1;
-* powers tested in descending steps of two each need only their central
-  degree i = (t - m)/2: L^(m+2) = L^2 * L^m on A_i, so injectivity of
-  L^(m+2) on the degrees below (checked one step earlier) forces that
-  of L^m there.
+* of the low degrees, the central one i = (t - m)//2 alone decides: the
+  socle of A is A_t, so a nonzero f in A_j with j < t and L^m f = 0 has
+  some x_k f != 0, and L^m (x_k f) = 0 is a kernel element one degree up.
+  A kernel in any degree below i thus lifts to degree i.
 
 For two-variable failures, :func:`kernel_witness` produces a concrete
 monomial annihilated by an explicit power, re-verified by direct expansion
@@ -38,15 +41,15 @@ __all__ = [
 
 def max_rank_in_every_degree(algebra: MonomialCI, power: int) -> bool:
     """Whether multiplication by (x1 + ... + xn)^power has maximal rank
-    in every degree, decided by injectivity on the low-degree pieces."""
+    in every degree, decided by injectivity on the central degree
+    (t - power)//2."""
     if power < 1:
         raise ValueError("power must be at least 1")
-    limit = (algebra.top_degree - power) // 2
-    for i in range(limit + 1):
-        matrix = mult_matrix(algebra, power, i)
-        if rank(matrix, algebra.field) != matrix.cols:
-            return False
-    return True
+    t = algebra.top_degree
+    if power > t:
+        return True
+    matrix = mult_matrix(algebra, power, (t - power) // 2)
+    return rank(matrix, algebra.field) == matrix.cols
 
 
 def _candidate_powers(algebra: MonomialCI) -> list[int]:
@@ -64,11 +67,8 @@ def is_slp_oracle(algebra: MonomialCI) -> SlpVerdict:
     each on the one square map A_i -> A_(t-i) with i = (t - m)/2; the first
     failure is recorded on the verdict.
     """
-    t = algebra.top_degree
     for power in _candidate_powers(algebra):
-        degree = (t - power) // 2
-        matrix = mult_matrix(algebra, power, degree)
-        if rank(matrix, algebra.field) != matrix.cols:
+        if not max_rank_in_every_degree(algebra, power):
             return SlpVerdict(False, "oracle", failing_exponent=power)
     return SlpVerdict(True, "oracle")
 

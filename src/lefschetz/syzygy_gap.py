@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .prime_field import MatrixGFp, PrimeField, binomial_mod_p, rank
 
@@ -87,8 +86,15 @@ def _least_relation_degree(d1: int, d2: int, d3: int) -> int:
     return min(biggest, d1 + d2 + d3 - biggest)
 
 
-@lru_cache(maxsize=None)
-def _profile(field: PrimeField, d1: int, d2: int, d3: int) -> SyzygyProfile:
+def syzygy_profile(field: PrimeField, d1: int, d2: int, d3: int) -> SyzygyProfile:
+    """Generator degrees of the relation module of x^d1, y^d2, (x+y)^d3.
+
+    alpha is the least degree with a nonzero relation; beta follows from
+    alpha + beta = d1 + d2 + d3. A kernel of dimension k just below the
+    midpoint degree pins alpha = tau + 1 - k directly, because relation
+    space dimensions grow by one per degree per generator.
+    """
+    _check_degrees(d1, d2, d3)
     total = d1 + d2 + d3
     tau = (total - 1) // 2
     kdim = kernel_dimension(field, d1, d2, d3, tau)
@@ -100,19 +106,6 @@ def _profile(field: PrimeField, d1: int, d2: int, d3: int) -> SyzygyProfile:
             f"alpha={alpha}, beta={beta}"
         )
     return SyzygyProfile(alpha, beta)
-
-
-def syzygy_profile(field: PrimeField, d1: int, d2: int, d3: int) -> SyzygyProfile:
-    """Generator degrees of the relation module of x^d1, y^d2, (x+y)^d3.
-
-    alpha is the least degree with a nonzero relation; beta follows from
-    alpha + beta = d1 + d2 + d3. A kernel of dimension k just below the
-    midpoint degree pins alpha = tau + 1 - k directly, because relation
-    space dimensions grow by one per degree per generator. Results are
-    cached; profiles are immutable.
-    """
-    _check_degrees(d1, d2, d3)
-    return _profile(field, d1, d2, d3)
 
 
 def delta_value(field: PrimeField, d1: int, d2: int, d3: int) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations, product
 
-from lefschetz import MatrixGFp, SyzygyProfile, kernel_dimension, max_rank_in_every_degree
+from lefschetz import MatrixGFp, SyzygyProfile, kernel_dimension, mult_matrix, rank
 from lefschetz.lefschetz_oracle import _candidate_powers
 
 SMALL_PRIMES = (2, 3, 5, 7)
@@ -113,14 +113,27 @@ def syzygy_profile_scan(field, d1: int, d2: int, d3: int) -> SyzygyProfile:
     )
 
 
+def max_rank_by_definition(algebra, power: int) -> bool:
+    """Maximal rank of (x1 + ... + xn)^power, checked in every degree 0..t.
+
+    No symmetry or socle argument: each degree's map must have rank equal
+    to the smaller of its source and target dimensions.
+    """
+    for degree in range(algebra.top_degree + 1):
+        matrix = mult_matrix(algebra, power, degree)
+        if rank(matrix, algebra.field) != min(matrix.rows, matrix.cols):
+            return False
+    return True
+
+
 def slp_oracle_over_every_degree(algebra) -> tuple[bool, int | None]:
-    """The oracle with every low degree checked for each candidate power.
+    """The oracle with every degree checked for each candidate power.
 
     Returns ``(has_slp, failing_exponent)``: the candidate powers in
-    descending order, each tested by ``max_rank_in_every_degree``.
+    descending order, each tested by ``max_rank_by_definition``.
     """
     for power in _candidate_powers(algebra):
-        if not max_rank_in_every_degree(algebra, power):
+        if not max_rank_by_definition(algebra, power):
             return False, power
     return True, None
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import lefschetz
-from lefschetz import prime_field
+from lefschetz import cli, prime_field
 from lefschetz.cli import main
 
 
@@ -190,6 +190,32 @@ class TestVerify:
         argv = [x for x in self.BASE if x not in ("--jobs", "1")]
         _, parallel, _ = run_cli(argv + ["--jobs", "2", "--format", "json"], capsys)
         assert serial == parallel
+
+    def test_workers_capped_at_available_processors(self, monkeypatch, capsys):
+        started = []
+
+        class RecordingPool:
+            # Counts the workers asked for and maps in this process.
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks, chunksize=1):
+                return [func(task) for task in tasks]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        argv = ["verify", "--primes", "2", "--max", "4", "--modes", "oracle,digits",
+                "--format", "json", "--jobs"]
+        code, many, _ = run_cli(argv + ["64"], capsys)
+        assert code == 0 and started == [2]
+        _, serial, _ = run_cli(argv + ["1"], capsys)
+        assert started == [2] and many == serial
 
     def test_csv_columns(self, capsys):
         code, out, _ = run_cli(self.BASE + ["--format", "csv"], capsys)

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from conftest import count_monomials, power_times_monomial_is_zero, slp_oracle_over_every_degree
+from conftest import (
+    count_monomials,
+    max_rank_by_definition,
+    power_times_monomial_is_zero,
+    slp_oracle_over_every_degree,
+)
 from lefschetz import (
     MonomialCI,
     PrimeField,
@@ -27,10 +32,8 @@ F3 = PrimeField(3)
 
 
 def full_slp_check(algebra) -> bool:
-    """Unreduced oracle: test every power from 1 to the top degree."""
-    return all(
-        max_rank_in_every_degree(algebra, m) for m in range(1, algebra.top_degree + 1)
-    )
+    """Unreduced oracle: test every power from 1 to the top degree in every degree."""
+    return all(max_rank_by_definition(algebra, m) for m in range(1, algebra.top_degree + 1))
 
 
 class TestMaxRank:
@@ -45,6 +48,21 @@ class TestMaxRank:
     def test_power_validation(self):
         with pytest.raises(ValueError):
             max_rank_in_every_degree(MonomialCI(F2, (2, 2)), 0)
+
+    def test_central_degree_decides_every_degree(self):
+        exponent_tuples = [
+            ds
+            for n, top in ((1, 7), (2, 8), (3, 4), (4, 3))
+            for ds in combinations_with_replacement(range(1, top + 1), n)
+        ]
+        for p in (2, 3, 5, 7):
+            field = PrimeField(p)
+            for ds in exponent_tuples:
+                algebra = MonomialCI(field, ds)
+                for power in range(1, algebra.top_degree + 2):
+                    assert max_rank_in_every_degree(algebra, power) == max_rank_by_definition(
+                        algebra, power
+                    ), (p, ds, power)
 
 
 class TestSlpOracle:
@@ -121,6 +139,11 @@ class TestSlpOracle:
         calls.clear()
         v = is_slp_oracle(MonomialCI(F2, (4, 5)))
         assert v.failing_exponent == 5 and len(calls) == 2
+
+        # the WLP is the first power alone, on its central degree
+        calls.clear()
+        assert is_wlp_oracle(algebra)
+        assert len(calls) == 1
 
     def test_slp_implies_wlp_on_sweep(self):
         for p in (2, 3, 5):
