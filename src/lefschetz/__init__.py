@@ -9,11 +9,9 @@ integer arithmetic; all values are immutable and safe to share.
 
 from .classifier import (
     ConditionReport,
-    DigitDecomposition,
     base_p_digits,
     classify,
     delta_zero_criterion,
-    digit_decomposition,
     manhattan_check,
     slp_step_check,
 )
@@ -47,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditionReport",
-    "DigitDecomposition",
     "KernelWitness",
     "MatrixGFp",
     "MonomialCI",
@@ -60,7 +57,6 @@ __all__ = [
     "classify",
     "delta_value",
     "delta_zero_criterion",
-    "digit_decomposition",
     "graded_basis",
     "hilbert_function",
     "hilbert_series_identity",

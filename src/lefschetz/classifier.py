@@ -38,26 +38,6 @@ def base_p_digits(n: int, field: PrimeField) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class DigitDecomposition:
-    """Quotients and remainders of a pair of exponents by p**level."""
-
-    level: int
-    quot_a: int
-    rem_a: int
-    quot_b: int
-    rem_b: int
-
-
-def digit_decomposition(a: int, b: int, level: int, field: PrimeField) -> DigitDecomposition:
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    step = field.p**level
-    qa, ra = divmod(a, step)
-    qb, rb = divmod(b, step)
-    return DigitDecomposition(level, qa, ra, qb, rb)
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     """Every violated (level, condition) pair of the per-level check."""
 
@@ -68,20 +48,23 @@ class ConditionReport:
         return not self.violations
 
 
-def _level_violations(dec: DigitDecomposition, step: int) -> list[int]:
-    # The four conditions, in their fixed order:
-    #   1. quot_a > 0 implies rem_a >= rem_b - 1
-    #   2. quot_b > 0 implies rem_b >= rem_a - 1
-    #   3. quot_a > 0 and quot_b > 0 imply rem_a + rem_b >= step - 1
-    #   4. rem_a + rem_b <= step + 1
+def _level_violations(a: int, b: int, step: int) -> list[int]:
+    # With a = m*step + r and b = n*step + s, the four conditions in their
+    # fixed order:
+    #   1. m > 0 implies r >= s - 1
+    #   2. n > 0 implies s >= r - 1
+    #   3. m > 0 and n > 0 imply r + s >= step - 1
+    #   4. r + s <= step + 1
+    m, r = divmod(a, step)
+    n, s = divmod(b, step)
     bad = []
-    if dec.quot_a > 0 and dec.rem_a < dec.rem_b - 1:
+    if m > 0 and r < s - 1:
         bad.append(1)
-    if dec.quot_b > 0 and dec.rem_b < dec.rem_a - 1:
+    if n > 0 and s < r - 1:
         bad.append(2)
-    if dec.quot_a > 0 and dec.quot_b > 0 and dec.rem_a + dec.rem_b < step - 1:
+    if m > 0 and n > 0 and r + s < step - 1:
         bad.append(3)
-    if dec.rem_a + dec.rem_b > step + 1:
+    if r + s > step + 1:
         bad.append(4)
     return bad
 
@@ -106,8 +89,7 @@ def slp_step_check(field: PrimeField, a: int, b: int) -> ConditionReport:
     level = 1
     while True:
         step = p**level
-        dec = digit_decomposition(a, b, level, field)
-        violations.extend((level, c) for c in _level_violations(dec, step))
+        violations.extend((level, c) for c in _level_violations(a, b, step))
         if step >= a + b - 1:
             break
         level += 1

@@ -95,7 +95,6 @@ def _mode_verdict(mode: str, field: PrimeField, ds: tuple[int, ...]) -> bool:
         return manhattan_check(field, ds[0], ds[1])
     if mode == "delta":
         return slp_via_delta(field, ds[0], ds[1])
-    raise UsageError(f"unknown mode {mode!r}")
 
 
 def _witness_dict(w: KernelWitness) -> dict:
@@ -322,7 +321,6 @@ def _run_sweep(config) -> dict:
             entries = pool.map(_sweep_worker, tasks, chunksize=32)
     else:
         entries = [_sweep_worker(t) for t in tasks]
-    entries.sort(key=lambda e: (e["p"], e["d"]))
     slp = sum(1 for e in entries if e["agree"] and e["verdicts"][config["modes"][0]])
     disagreements = sum(1 for e in entries if not e["agree"])
     summary = {

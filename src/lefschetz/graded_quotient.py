@@ -78,7 +78,10 @@ def graded_basis(algebra: MonomialCI, degree: int) -> tuple[ExponentVector, ...]
     return tuple(out)
 
 
-def _hilbert_vector(algebra: MonomialCI) -> tuple[int, ...]:
+def hilbert_function(algebra: MonomialCI, degree: int) -> int:
+    """Dimension of the graded piece in the given degree."""
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
     # Coefficients of prod_j (1 + x + ... + x^(dj - 1)). Multiplying by one
     # factor replaces each coefficient by the sum of the last dj ones, kept
     # as a running window sum: O(n * t) in all.
@@ -92,15 +95,7 @@ def _hilbert_vector(algebra: MonomialCI) -> tuple[int, ...]:
             if k >= d:
                 window -= padded[k - d]
             coeffs.append(window)
-    return tuple(coeffs)
-
-
-def hilbert_function(algebra: MonomialCI, degree: int) -> int:
-    """Dimension of the graded piece in the given degree."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    vec = _hilbert_vector(algebra)
-    return vec[degree] if degree < len(vec) else 0
+    return coeffs[degree] if degree < len(coeffs) else 0
 
 
 def mult_matrix(algebra: MonomialCI, power: int, degree: int) -> MatrixGFp:

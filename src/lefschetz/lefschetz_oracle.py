@@ -25,7 +25,7 @@ before it is returned.
 from __future__ import annotations
 
 from .classifier import slp_step_check
-from .graded_quotient import MonomialCI, _hilbert_vector, mult_matrix
+from .graded_quotient import MonomialCI, mult_matrix
 from .prime_field import binomial_mod_p, rank
 from .verdict import KernelWitness, SlpVerdict
 
@@ -92,9 +92,13 @@ def _verify_witness(algebra: MonomialCI, monomial: tuple[int, int], power: int) 
     for j in range(max(0, e2 + power - d2 + 1), min(power, d1 - 1 - e1) + 1):
         if binomial_mod_p(power, j, field):
             raise RuntimeError("witness construction produced a surviving term")
-    hilbert = _hilbert_vector(algebra)
-    deg, target = e1 + e2, e1 + e2 + power
-    if hilbert[deg] > (hilbert[target] if target < len(hilbert) else 0):
+    # Degree j has the basis x^i y^(j - i) for max(0, j - d2 + 1) <= i <=
+    # min(j, d1 - 1), the window arithmetic of the loop above; the range is
+    # empty above the top degree.
+    source, target = (
+        len(range(max(0, j - d2 + 1), min(j, d1 - 1) + 1)) for j in (e1 + e2, e1 + e2 + power)
+    )
+    if source > target:
         raise RuntimeError("witness target piece is smaller than the source piece")
 
 

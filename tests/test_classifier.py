@@ -20,7 +20,6 @@ from lefschetz import (
     base_p_digits,
     classify,
     delta_zero_criterion,
-    digit_decomposition,
     manhattan_check,
     slp_step_check,
 )
@@ -48,12 +47,6 @@ class TestDigits:
         assert digits[-1] != 0
         assert sum(d * p**i for i, d in enumerate(digits)) == n
         assert all(0 <= d < p for d in digits)
-
-    def test_decomposition_reconstructs(self):
-        dec = digit_decomposition(14, 9, 2, F3)
-        assert (dec.quot_a, dec.rem_a) == (1, 5)
-        assert (dec.quot_b, dec.rem_b) == (1, 0)
-        assert dec.quot_a * 9 + dec.rem_a == 14
 
 
 class TestStepCheck:

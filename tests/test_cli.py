@@ -191,11 +191,13 @@ class TestVerify:
         _, parallel, _ = run_cli(argv + ["--jobs", "2", "--format", "json"], capsys)
         assert serial == parallel
 
-    def test_workers_capped_at_available_processors(self, monkeypatch, capsys):
+    @pytest.fixture
+    def in_process_pool(self, monkeypatch):
+        # Two processors and a Pool that records the workers asked for and
+        # maps in this process: no process is started.
         started = []
 
         class RecordingPool:
-            # Counts the workers asked for and maps in this process.
             def __init__(self, processes):
                 started.append(processes)
 
@@ -210,12 +212,32 @@ class TestVerify:
 
         monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        return started
+
+    def test_workers_capped_at_available_processors(self, in_process_pool, capsys):
         argv = ["verify", "--primes", "2", "--max", "4", "--modes", "oracle,digits",
                 "--format", "json", "--jobs"]
         code, many, _ = run_cli(argv + ["64"], capsys)
-        assert code == 0 and started == [2]
+        assert code == 0 and in_process_pool == [2]
         _, serial, _ = run_cli(argv + ["1"], capsys)
-        assert started == [2] and many == serial
+        assert in_process_pool == [2] and many == serial
+
+    def test_prime_order_does_not_change_entries(self, in_process_pool, capsys):
+        # The grid walks the primes in ascending order and Pool.map keeps
+        # the order of its input, so the report needs no sort.
+        results = []
+        for jobs in ("1", "2"):
+            for primes in ("5,2,3", "2,3,5"):
+                code, out, _ = run_cli(
+                    ["verify", "--primes", primes, "--max", "6", "--modes", "oracle,digits",
+                     "--format", "json", "--jobs", jobs],
+                    capsys,
+                )
+                assert code == 0
+                report = json.loads(out)
+                results.append((report["entries"], report["summary"]))
+        assert in_process_pool == [2, 2]
+        assert all(result == results[0] for result in results)
 
     def test_csv_columns(self, capsys):
         code, out, _ = run_cli(self.BASE + ["--format", "csv"], capsys)

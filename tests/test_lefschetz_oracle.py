@@ -259,10 +259,21 @@ class TestVerifyWitness:
                 algebra = MonomialCI(field, (d1, d2))
                 for e1, e2 in product(range(d1), range(d2)):
                     for power in range(1, d1 + d2 + 1):
+                        # every outcome: a surviving term first, then the
+                        # piece sizes by direct count, else no error
+                        source = count_monomials((d1, d2), e1 + e2)
+                        target = count_monomials((d1, d2), e1 + e2 + power)
+                        if not power_times_monomial_is_zero(p, d1, d2, e1, e2, power):
+                            expected = "surviving term"
+                        elif source > target:
+                            expected = "smaller than the source"
+                        else:
+                            expected = None
                         try:
                             lefschetz_oracle._verify_witness(algebra, (e1, e2), power)
-                            surviving = False
+                            error = ""
                         except RuntimeError as exc:
-                            surviving = "surviving term" in str(exc)
-                        expected = not power_times_monomial_is_zero(p, d1, d2, e1, e2, power)
-                        assert surviving == expected, (p, d1, d2, e1, e2, power)
+                            error = str(exc)
+                        assert expected in error if expected else not error, (
+                            p, d1, d2, e1, e2, power, error
+                        )
