@@ -215,6 +215,8 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
         out[key] = value
     return out
 
@@ -255,7 +257,9 @@ def _sweep_config(args) -> dict:
     _reject_repeats(modes, "mode")
     _check_modes(modes, n)
 
-    fmt = pick(args.format, "format") or "text"
+    fmt = pick(args.format, "format")
+    if fmt is None:
+        fmt = "text"
     if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
 
@@ -264,6 +268,10 @@ def _sweep_config(args) -> dict:
     if jobs < 1:
         raise UsageError("jobs must be at least 1")
 
+    out = pick(args.out, "out")
+    if out == "":
+        raise UsageError("empty output path")
+
     return {
         "primes": list(primes),
         "fields": fields,
@@ -271,7 +279,7 @@ def _sweep_config(args) -> dict:
         "max_exponent": max_exponent,
         "modes": list(modes),
         "format": fmt,
-        "out": pick(args.out, "out"),
+        "out": out,
         "jobs": jobs,
     }
 
@@ -333,8 +341,49 @@ def _run_sweep(config) -> dict:
     return {"config": reported, "entries": entries, "summary": summary}
 
 
+def _json_ints(values, pad: str) -> str:
+    # A list of ints as json.dumps(indent=2) writes it, items indented by pad.
+    if not values:
+        return "[]"
+    items = f",\n{pad}".join(map(str, values))
+    return f"[\n{pad}{items}\n{pad[:-2]}]"
+
+
+def _json_entry(e: dict) -> str:
+    # One report entry at depth 2 of the report, keys in sorted order. Mode
+    # names are identifiers from MODES, so no string needs escaping.
+    verdicts = ",\n".join(
+        f'        "{mode}": {"true" if v else "false"}'
+        for mode, v in sorted(e["verdicts"].items())
+    )
+    verdicts = f"{{\n{verdicts}\n      }}" if verdicts else "{}"
+    w = e["witness"]
+    witness = "null" if w is None else (
+        f'{{\n        "monomial": {_json_ints(w["monomial"], " " * 10)},\n'
+        f'        "power": {w["power"]},\n'
+        f'        "target_degree": {w["target_degree"]}\n      }}'
+    )
+    return (
+        f'    {{\n      "agree": {"true" if e["agree"] else "false"},\n'
+        f'      "d": {_json_ints(e["d"], " " * 8)},\n'
+        f'      "p": {e["p"]},\n'
+        f'      "verdicts": {verdicts},\n'
+        f'      "witness": {witness}\n    }}'
+    )
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder, so the
+    entries, nearly all of a report, are written from their fixed schema;
+    ``config`` and ``summary`` still go through ``json.dumps``.
+    """
+    head = json.dumps({"config": report["config"]}, indent=2, sort_keys=True)
+    tail = json.dumps({"summary": report["summary"]}, indent=2, sort_keys=True)
+    entries = ",\n".join(map(_json_entry, report["entries"]))
+    body = f"[\n{entries}\n  ]" if entries else "[]"
+    return f'{head[:-2]},\n  "entries": {body},\n{tail[2:]}\n'
 
 
 def render_csv(report: dict) -> str:

@@ -185,6 +185,54 @@ class TestVerify:
         entry = report["entries"][0]
         assert set(entry) == {"p", "d", "verdicts", "agree", "witness"}
 
+    @staticmethod
+    def _report(argv):
+        args = cli._build_parser().parse_args(["verify", "--jobs", "1"] + argv)
+        return cli._run_sweep(cli._sweep_config(args))
+
+    @staticmethod
+    def _hand_built_report(kind):
+        # Reports no correct sweep produces: routes that disagree, empty
+        # containers, no entries.
+        report = TestVerify._report(["--primes", "2", "--max", "4", "--modes", "oracle,digits"])
+        if kind == "disagreement":
+            report["entries"][0].update(
+                verdicts={"oracle": True, "digits": False}, agree=False, witness=None
+            )
+        elif kind == "empty-containers":
+            report["entries"][0].update(
+                d=[], verdicts={}, witness={"monomial": [], "power": 2, "target_degree": 2}
+            )
+        else:
+            report["entries"] = []
+        return report
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param(["--primes", "2,3", "--n", "1", "--max", "6",
+                          "--modes", "oracle,digits"], id="n1"),
+            pytest.param(["--primes", "2,3", "--n", "2", "--max", "8",
+                          "--modes", "oracle,digits"], id="n2"),
+            pytest.param(["--primes", "3", "--n", "3", "--max", "4",
+                          "--modes", "oracle,digits"], id="n3"),
+            *(pytest.param(["--primes", "2,3", "--max", "6", "--modes", mode], id=mode)
+              for mode in cli.MODES),
+            pytest.param(["--primes", "2,3", "--max", "6",
+                          "--modes", "delta,manhattan,oracle,digits"], id="all-modes"),
+            pytest.param(["--primes", "2,3,5,7", "--max", "20",
+                          "--modes", "digits,manhattan"], id="digits-manhattan"),
+            *(pytest.param(kind, id=kind)
+              for kind in ("disagreement", "empty-containers", "no-entries")),
+        ],
+    )
+    def test_json_render_matches_reference_encoder(self, source):
+        if isinstance(source, str):
+            report = self._hand_built_report(source)
+        else:
+            report = self._report(source)
+        assert cli.render_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
     def test_jobs_do_not_change_output(self, capsys):
         _, serial, _ = run_cli(self.BASE + ["--format", "json"], capsys)
         argv = [x for x in self.BASE if x not in ("--jobs", "1")]
@@ -342,6 +390,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["config"]["max_exponent"] == 6
 
+    def test_repeated_config_key_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("primes = 2\nmodes = digits\nprimes = 3\n")
+        code, out, err = run_cli(["verify", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {cfg}:3: repeated key 'primes'\n"
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("primes = 2\nwibble = 3\n")
@@ -364,6 +419,11 @@ class TestVerify:
             pytest.param(["--primes", "2,3,2"], None, id="repeated-prime-flag"),
             pytest.param(["--modes", "digits,digits"], None, id="repeated-mode-flag"),
             pytest.param(["--bogus"], None, id="unknown-flag"),
+            pytest.param([], b"primes = 2\nprimes = 3\n", id="repeated-config-key"),
+            pytest.param(["--format", ""], None, id="empty-format-flag"),
+            pytest.param([], b"format =\n", id="empty-format-config"),
+            pytest.param(["--out", ""], None, id="empty-out-flag"),
+            pytest.param([], b"out =\n", id="empty-out-config"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, flags, config, tmp_path, capsys):
