@@ -60,15 +60,20 @@ def machine() -> dict:
     }
 
 
+def _significant(x: float) -> float:
+    # 4 significant digits, so a layer near 1 ms is as comparable as one near 1 s
+    return float(f"{x:.4g}")
+
+
 def summary(samples: list[float], calls: int) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4)
     return {
         "calls": calls,
-        "median_s": round(median, 4),
-        "q1_s": round(q1, 4),
-        "q3_s": round(q3, 4),
+        "median_s": _significant(median),
+        "q1_s": _significant(q1),
+        "q3_s": _significant(q3),
         "per_call_us": round(median / calls * 1e6, 2),
-        "samples_s": [round(s, 4) for s in samples],
+        "samples_s": [_significant(s) for s in samples],
     }
 
 

@@ -4,15 +4,17 @@ Three equivalent formulations are implemented for two variables:
 
 * a per-level check of four inequalities on the quotient/remainder
   decompositions ``a = m*p^i + r``, ``b = n*p^i + s`` (:func:`slp_step_check`);
-* a Manhattan-distance criterion: the L1 distance from each point
-  ``(a, b, a + b - 2c)`` to the lattice of multiples ``p^i * (u, v, w)``
-  with odd ``u + v + w``, computed in closed form (:func:`manhattan_check`);
+* a Manhattan-distance criterion: no point ``(a, b, a + b - 2c)`` lies
+  closer in L1 than ``p^i`` to a multiple ``p^i * (u, v, w)`` with odd
+  ``u + v + w``, decided for all c at once by a closed form per level
+  (:func:`manhattan_check`);
 * explicit digit classifications, split by characteristic and by the
   number of variables, behind :func:`classify`, which reports which of the
   five numbered conditions of the combined classification fired.
 
 :func:`delta_zero_criterion` decides vanishing of the syzygy gap by the
-same odd-sum lattice distance, applied to the degree triple.
+odd-sum lattice distance of the degree triple (``_odd_sum_distance``); it is
+the only caller of that distance here.
 
 All functions are pure; everything is exact integer arithmetic.
 """
@@ -124,25 +126,55 @@ def manhattan_check(field: PrimeField, a: int, b: int) -> bool:
 
         |a - u*p^i| + |b - v*p^i| + |a + b - 2c - w*p^i| >= p^i
 
-    holds for all integers u, v, w with odd sum. The minimum of the left
-    side has a closed form: take the nearest multiple of p^i in each
-    coordinate and, when the chosen u + v + w is even, move the cheapest
-    coordinate to its other bracketing multiple. Level 0 never fails: with
+    holds for all integers u, v, w with odd sum. Level 0 never fails: with
     step 1 an odd-sum triple cannot hit the point (a, b, a + b - 2c), whose
-    coordinate sum is even.
+    coordinate sum is even. Levels run up to the first p^i >= a + b - 1.
+
+    Each level is decided for all c at once, with step s = p^i:
+
+    * As c runs, the third coordinate x = a + b - 2c runs over the
+      progression X = {lo, lo + 2, ..., hi}, lo = |a - b| + 2 and
+      hi = a + b - 2. X is empty only when min(a, b) < 2, which the
+      exponent check excludes.
+    * A lattice point at total distance < s takes u from the two multiples
+      of s that bracket a, at costs a mod s and s - a mod s; any other u
+      already costs >= s. The same holds for v and b. That leaves at most
+      four pairs (u, v), each with the budget s - cost_u - cost_v for the
+      third coordinate. A pair with budget <= 0 cannot fail.
+    * w must have the parity of u + v + 1. The distance from y to X is
+      lo - y below X, y - hi above it and (y - lo) mod 2 inside it. Over all
+      w of one parity, the least distance from w*s to X is reached at the
+      largest such w with w*s <= hi or at the smallest with w*s >= lo: the
+      multiples w*s of one parity are 2s apart, so those inside X all have
+      the same distance, and outside X the distance grows away from it.
+
+    The level fails iff, for some pair (u, v), that least distance is below
+    the pair's budget.
     """
     _check_two_exponents(a, b)
     p = field.p
-    level = 1
+    lo, hi = abs(a - b) + 2, a + b - 2
+    step = p
     while True:
-        step = p**level
-        for c in range(1, min(a, b)):
-            if _odd_sum_distance((a, b, a + b - 2 * c), step) < step:
-                return False
+        qa, ra = divmod(a, step)
+        qb, rb = divmod(b, step)
+        top = hi // step
+        bottom = -(-lo // step)
+        # least distance from w*step to X over the w of each parity
+        reach = []
+        for parity in (0, 1):
+            y = (top - ((top - parity) & 1)) * step
+            below = lo - y if y < lo else (y - lo) & 1
+            y = (bottom + ((bottom - parity) & 1)) * step
+            above = y - hi if y > hi else (y - lo) & 1
+            reach.append(min(below, above))
+        for u, cost_u in ((qa, ra), (qa + 1, step - ra)):
+            for v, cost_v in ((qb, rb), (qb + 1, step - rb)):
+                if reach[(u + v + 1) & 1] < step - cost_u - cost_v:
+                    return False
         if step >= a + b - 1:
-            break
-        level += 1
-    return True
+            return True
+        step *= p
 
 
 def _two_odd_case(field: PrimeField, a: int, b: int) -> tuple[int | None, str]:
@@ -251,8 +283,8 @@ def delta_zero_criterion(field: PrimeField, d1: int, d2: int, d3: int) -> bool:
         |d1 - u*p^s| + |d2 - v*p^s| + |d3 - w*p^s| >= p^s
 
     for every s >= 0 and all integers u, v, w with odd sum. The minimum of
-    the left side is the same odd-sum lattice distance as in
-    :func:`manhattan_check`, and levels stop once p^s reaches d1 + d2 + d3.
+    the left side is the odd-sum lattice distance ``_odd_sum_distance``,
+    and levels stop once p^s reaches d1 + d2 + d3.
     Level 0 is a genuine check here: when d1 + d2 + d3 is odd the point
     itself has odd coordinate sum and the gap cannot vanish.
     """

@@ -24,6 +24,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import sys
 import time
 
@@ -36,6 +37,8 @@ from .verdict import KernelWitness
 
 MODES = ("oracle", "digits", "manhattan", "delta")
 FORMATS = ("json", "csv", "text")
+# a config comment starts at a '#' that opens the line or follows whitespace
+_CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class UsageError(ValueError):
@@ -209,7 +212,13 @@ def _read_config(path: str) -> dict[str, str]:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CONFIG_COMMENT.split(raw, 1)[0]
+        if "#" in line:
+            raise UsageError(
+                f"{path}:{lineno}: '#' joined to text starts no comment "
+                f"(put whitespace before a comment), got {raw!r}"
+            )
+        line = line.strip()
         if not line:
             continue
         if "=" not in line:

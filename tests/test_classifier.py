@@ -24,6 +24,7 @@ from lefschetz import (
     slp_step_check,
 )
 from lefschetz.classifier import _odd_sum_distance
+from lefschetz.prime_field import MAX_CHARACTERISTIC
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -103,6 +104,39 @@ class TestManhattan:
             for a in range(2, 21):
                 for b in range(a, 21):
                     assert manhattan_check(field, a, b) == slp_step_check(field, a, b).satisfied
+
+    def test_closed_form_matches_box_search(self):
+        # both orders: the closed form reads |a - b|
+        for p in (2, 3, 5, 7, 11):
+            field = PrimeField(p)
+            for a in range(2, 21):
+                for b in range(2, 21):
+                    assert manhattan_check(field, a, b) == manhattan_by_search(p, a, b), (p, a, b)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 257])
+    def test_last_level_boundaries(self, p):
+        # a + b - 1 equal to p^k or p^k +- 1: the last level is p^k or p^(k+1)
+        field = PrimeField(p)
+        for k in (1, 2, 3):
+            for total in (p**k - 1, p**k, p**k + 1):
+                s = total + 1  # a + b
+                for a in sorted({2, 3, s // 2, s // 2 + 1, s - 3, s - 2}):
+                    b = s - a
+                    if a < 2 or b < 2:
+                        continue
+                    expected = slp_step_check(field, a, b).satisfied
+                    assert manhattan_check(field, a, b) == expected, (p, a, b)
+                    assert manhattan_check(field, b, a) == expected, (p, b, a)
+
+    def test_maximal_characteristic_near_p(self):
+        p = MAX_CHARACTERISTIC
+        field = PrimeField(p)
+        near = [2, 3, 4, p // 2, p // 2 + 1, p // 2 + 2, p - 2, p - 1, p, p + 1, p + 2,
+                2 * p - 1, 2 * p + 1]
+        for a in near:
+            for b in near:
+                expected = slp_step_check(field, a, b).satisfied
+                assert manhattan_check(field, a, b) == expected, (a, b)
 
 
 class TestTwoVariableClassification:

@@ -397,6 +397,23 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: {cfg}:3: repeated key 'primes'\n"
 
+    def test_config_comments_follow_whitespace(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("# sweep\n   # indented comment\nprimes = 2,3  # small\n"
+                       "modes = digits\t# tab before the comment\njobs = 1\n")
+        code, out, _ = run_cli(["verify", "--config", str(cfg), "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["primes"] == [2, 3]
+
+    def test_hash_inside_config_value_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        report = tmp_path / "report#1.json"
+        cfg.write_text(f"primes = 2\nmodes = digits\nout = {report}\n")
+        code, out, err = run_cli(["verify", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {cfg}:3: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("primes = 2\nwibble = 3\n")
@@ -424,6 +441,7 @@ class TestVerify:
             pytest.param([], b"format =\n", id="empty-format-config"),
             pytest.param(["--out", ""], None, id="empty-out-flag"),
             pytest.param([], b"out =\n", id="empty-out-config"),
+            pytest.param([], b"jobs = 1#2\n", id="hash-inside-config-value"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, flags, config, tmp_path, capsys):
