@@ -224,6 +224,8 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise UsageError(f"{path}:{lineno}: empty key before '=', got {raw!r}")
         if key in out:
             raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
         out[key] = value

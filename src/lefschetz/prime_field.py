@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 from typing import Sequence
 
 # Bounds the trial division in the primality check at construction.
@@ -100,43 +100,80 @@ class MatrixGFp:
 def rank(matrix: MatrixGFp, field: PrimeField) -> int:
     """Exact rank of ``matrix`` over GF(p) by Gaussian elimination on columns.
 
-    Each column is copied into a dense working vector; the copy rejects an
-    entry outside ``1..p-1`` and a row index that is out of range or not
-    above the previous one. The vector is then walked from its first row
-    down: a nonzero entry in a row that leads a pivot column is cleared by
-    subtracting that pivot, and the first nonzero entry in any other row
-    makes the vector a new pivot, scaled to lead with 1. Entries are reduced
-    mod p when read, so the arithmetic stays exact in Python integers for
-    every characteristic. Degenerate shapes (zero rows or columns) have
-    rank 0.
+    Each column is checked first: an entry outside ``1..p-1`` and a row
+    index that is out of range or not above the previous one are rejected.
+    A column whose leading row leads no pivot yet becomes a new pivot as it
+    stands, scaled to lead with 1, with no working vector and no walk; every
+    unit column and the first column to reach each row take this path. Any
+    other column is copied into a dense working vector and walked from its
+    first row down: a nonzero entry in a row that leads a pivot column is
+    cleared by subtracting that pivot, and the first nonzero entry in any
+    other row makes the vector a new pivot. The walk, and the scan for the
+    new pivot's tail, stop at the band's end: one past the last row the
+    vector can be nonzero in, which starts at the column's last entry and
+    grows when a subtracted pivot reaches further. Entries are reduced mod p
+    when read, so the arithmetic stays exact in Python integers for every
+    characteristic. Degenerate shapes (zero rows or columns) have rank 0.
     """
     p = field.p
     nrows = matrix.rows
     # leading row -> the pivot's entries below it, as (row, entry) pairs
     pivots: dict[int, list[tuple[int, int]]] = {}
     for column in matrix.columns:
-        v = [0] * nrows
         last = -1
         for i, e in column:
             if not 0 < e < p:
                 raise ValueError(f"matrix entry {e} out of range for GF({p})")
             if not last < i < nrows:
                 raise ValueError(f"row index {i} out of order or out of range for {nrows} rows")
-            v[i] = e
             last = i
         if not column or len(pivots) == nrows:
             continue
-        for i in range(column[0][0], nrows):
+        lead, f = column[0]
+        if lead not in pivots:
+            inv = pow(f, -1, p)
+            pivots[lead] = [(j, e * inv % p) for j, e in column[1:]]
+            continue
+        v = [0] * nrows
+        for i, e in column:
+            v[i] = e
+        end = last + 1
+        i = lead
+        while i < end:
             f = v[i] % p
             if f:
                 pivot = pivots.get(i)
                 if pivot is None:
                     inv = pow(f, -1, p)
-                    pivots[i] = [(j, x * inv % p) for j in range(i + 1, nrows) if (x := v[j] % p)]
+                    pivots[i] = [(j, x * inv % p) for j in range(i + 1, end) if (x := v[j] % p)]
                     break
                 for j, e in pivot:
                     v[j] -= f * e
+                if pivot and pivot[-1][0] >= end:
+                    end = pivot[-1][0] + 1
+            i += 1
     return len(pivots)
+
+
+def binomial_row(n: int, field: PrimeField) -> list[tuple[int, int]]:
+    """The nonzero entries of row ``n`` of Pascal's triangle mod p.
+
+    Returns the pairs ``(k, C(n, k) mod p)`` with a nonzero value, in
+    increasing k. By Lucas' theorem the row is the product of the rows of
+    the base-p digits of n, each a row of ``comb`` values below p, so it is
+    built digit by digit from the lowest, with no lookups and no cache.
+    """
+    if n < 0:
+        raise ValueError("binomial arguments must be non-negative")
+    p = field.p
+    row = [(0, 1)]
+    weight = 1
+    while n:
+        n, digit = divmod(n, p)
+        digit_row = [comb(digit, j) % p for j in range(digit + 1)]
+        row = [(k + j * weight, c * d % p) for j, d in enumerate(digit_row) for k, c in row]
+        weight *= p
+    return row
 
 
 def _small_binomial(n: int, k: int, p: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .prime_field import MatrixGFp, PrimeField, binomial_mod_p, rank
+from .prime_field import MatrixGFp, PrimeField, binomial_row, rank
 
 
 class RegionTag(enum.Enum):
@@ -67,7 +67,7 @@ def presentation_matrix(field: PrimeField, d1: int, d2: int, d3: int, tau: int) 
     columns += [((k, 1),) for k in range(tau - d2 + 1)]
     # g3 * (x+y)^d3: binomial expansion spreads over rows k..k+d3.
     if tau >= d3:
-        coeffs = [(j, c) for j in range(d3 + 1) if (c := binomial_mod_p(d3, j, field))]
+        coeffs = binomial_row(d3, field)
         columns += [tuple((k + j, c) for j, c in coeffs) for k in range(tau - d3 + 1)]
     return MatrixGFp(tau + 1, len(columns), tuple(columns))
 

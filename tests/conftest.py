@@ -5,7 +5,14 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations, product
 
-from lefschetz import MatrixGFp, SyzygyProfile, kernel_dimension, mult_matrix, rank
+from lefschetz import (
+    MatrixGFp,
+    SyzygyProfile,
+    binomial_mod_p,
+    kernel_dimension,
+    mult_matrix,
+    rank,
+)
 from lefschetz.lefschetz_oracle import _candidate_powers
 
 SMALL_PRIMES = (2, 3, 5, 7)
@@ -40,6 +47,46 @@ def rank_by_minors(matrix: MatrixGFp, p: int) -> int:
                 if det_mod(sub, p) != 0:
                     return k
     return 0
+
+
+def rank_by_dense_walk(matrix: MatrixGFp, field) -> int:
+    """Rank by elimination on columns, each walked densely down to the last row.
+
+    The same elimination as ``rank`` with neither its new-pivot shortcut nor
+    its band bound: every column is copied into a dense vector and walked
+    from its first row to ``nrows``, and every new pivot's tail is scanned to
+    ``nrows``. Entries are not checked; ``rank`` does that.
+    """
+    p = field.p
+    nrows = matrix.rows
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for column in matrix.columns:
+        v = [0] * nrows
+        for i, e in column:
+            v[i] = e
+        if not column or len(pivots) == nrows:
+            continue
+        for i in range(column[0][0], nrows):
+            f = v[i] % p
+            if f:
+                pivot = pivots.get(i)
+                if pivot is None:
+                    inv = pow(f, -1, p)
+                    pivots[i] = [(j, x * inv % p) for j in range(i + 1, nrows) if (x := v[j] % p)]
+                    break
+                for j, e in pivot:
+                    v[j] -= f * e
+    return len(pivots)
+
+
+def presentation_matrix_by_lookup(field, d1: int, d2: int, d3: int, tau: int) -> MatrixGFp:
+    """The degree-tau presentation matrix, each binomial from ``binomial_mod_p``."""
+    columns = [((k + d1, 1),) for k in range(tau - d1 + 1)]
+    columns += [((k, 1),) for k in range(tau - d2 + 1)]
+    if tau >= d3:
+        coeffs = [(j, c) for j in range(d3 + 1) if (c := binomial_mod_p(d3, j, field))]
+        columns += [tuple((k + j, c) for j, c in coeffs) for k in range(tau - d3 + 1)]
+    return MatrixGFp(tau + 1, len(columns), tuple(columns))
 
 
 def odd_sum_distance_by_search(point, step: int) -> int:

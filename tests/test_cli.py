@@ -397,6 +397,13 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: {cfg}:3: repeated key 'primes'\n"
 
+    def test_empty_config_key_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("primes = 2\nmodes = digits\n= 3\n")
+        code, out, err = run_cli(["verify", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {cfg}:3: empty key before '=', got '= 3\\n'\n"
+
     def test_config_comments_follow_whitespace(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("# sweep\n   # indented comment\nprimes = 2,3  # small\n"

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_PRIMES, rank_by_minors, transpose
-from lefschetz import MatrixGFp, PrimeField, binomial_mod_p, rank
-from lefschetz.prime_field import MAX_CHARACTERISTIC
+from conftest import SMALL_PRIMES, rank_by_dense_walk, rank_by_minors, transpose
+from lefschetz import MatrixGFp, PrimeField, binomial_mod_p, presentation_matrix, rank
+from lefschetz.prime_field import MAX_CHARACTERISTIC, binomial_row
 
 
 def dense(rows: int, cols: int, entries) -> MatrixGFp:
@@ -58,6 +58,22 @@ class TestBinomial:
     def test_negative_arguments_error(self):
         with pytest.raises(ValueError):
             binomial_mod_p(-1, 0, PrimeField(3))
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES + (31, MAX_CHARACTERISTIC))
+    def test_row_matches_factorials_up_to_200(self, p):
+        f = PrimeField(p)
+        for n in range(201):
+            pairs = binomial_row(n, f)
+            ks = [k for k, _ in pairs]
+            assert ks == sorted(set(ks)) and all(c for _, c in pairs), (p, n)
+            row = dict(pairs)
+            assert [row.get(k, 0) for k in range(n + 1)] == [
+                math.comb(n, k) % p for k in range(n + 1)
+            ], (p, n)
+
+    def test_row_of_negative_n_errors(self):
+        with pytest.raises(ValueError):
+            binomial_row(-1, PrimeField(3))
 
     def test_lucas_matches_factorials_up_to_200(self):
         for p in SMALL_PRIMES:
@@ -144,3 +160,109 @@ class TestRank:
         )
         r = rank(dense(rows, cols, entries), PrimeField(p))
         assert 0 <= r <= min(rows, cols)
+
+
+def sparse_column(draw, p: int, rows) -> tuple[tuple[int, int], ...]:
+    """A column with a nonzero entry in each of the given rows, in order."""
+    return tuple((i, draw(st.integers(1, p - 1))) for i in sorted(set(rows)))
+
+
+@st.composite
+def band_growing_matrices(draw):
+    """Sparse matrices whose second column's walk must go past its last entry.
+
+    The first column leads row ``lead`` and reaches down to row ``reach``;
+    the second leads the same row and stops above ``reach``, so clearing
+    its leading entry with the first column's pivot writes below its own
+    last entry. Short random columns follow.
+    """
+    p = draw(st.sampled_from(SMALL_PRIMES + (31, MAX_CHARACTERISTIC)))
+    nrows = draw(st.integers(2, 12))
+    lead = draw(st.integers(0, nrows - 2))
+    reach = draw(st.integers(lead + 1, nrows - 1))
+    stop = draw(st.integers(lead, reach - 1))
+    inner = st.lists(st.integers(lead + 1, reach - 1), max_size=3) if reach > lead + 1 else st.just([])
+    columns = [
+        sparse_column(draw, p, [lead, reach, *draw(inner)]),
+        sparse_column(draw, p, [lead, stop, *draw(st.lists(st.integers(lead, stop), max_size=3))]),
+    ]
+    for _ in range(draw(st.integers(0, 10))):
+        top = draw(st.integers(0, nrows - 1))
+        bottom = draw(st.integers(top, min(top + 3, nrows - 1)))
+        columns.append(sparse_column(draw, p, draw(st.lists(st.integers(top, bottom), max_size=4))))
+    return MatrixGFp(nrows, len(columns), tuple(columns)), PrimeField(p)
+
+
+class TestRankKernel:
+    """``rank`` against the elimination that walks every column to the last row."""
+
+    def test_presentation_matrices_of_every_gap(self):
+        # the matrices slp_via_delta builds, for every c rather than up to
+        # the first nonzero gap
+        for p in SMALL_PRIMES:
+            f = PrimeField(p)
+            for a in range(2, 17):
+                for b in range(a, 17):
+                    for c in range(1, a):
+                        d3 = a + b - 2 * c
+                        tau = (a + b + d3 - 1) // 2
+                        m = presentation_matrix(f, a, b, d3, tau)
+                        assert rank(m, f) == rank_by_dense_walk(m, f), (p, a, b, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(band_growing_matrices())
+    def test_walk_past_the_last_entry(self, drawn):
+        m, f = drawn
+        assert rank(m, f) == rank_by_dense_walk(m, f)
+
+    def test_largest_characteristic(self):
+        # columns that combine earlier ones cancel exactly only in exact arithmetic
+        p = MAX_CHARACTERISTIC
+        f = PrimeField(p)
+        rng = random.Random(2147483647)
+        entries = (1, 2, p - 1, p - 2)
+        for _ in range(150):
+            nrows = rng.randint(1, 10)
+            vectors = []
+            for _ in range(rng.randint(1, 10)):
+                if vectors and rng.random() < 0.4:
+                    weights = [rng.randrange(p) for _ in vectors]
+                    vectors.append(
+                        [sum(w * v[i] for w, v in zip(weights, vectors)) % p for i in range(nrows)]
+                    )
+                else:
+                    vectors.append(
+                        [rng.choice(entries) if rng.random() < 0.3 else rng.randrange(p)
+                         if rng.random() < 0.2 else 0 for _ in range(nrows)]
+                    )
+            columns = tuple(tuple((i, e) for i, e in enumerate(v) if e) for v in vectors)
+            m = MatrixGFp(nrows, len(columns), columns)
+            assert rank(m, f) == rank_by_dense_walk(m, f), m
+
+    BAD_COLUMNS = [
+        pytest.param(((0, 0),), id="zero-lead"),
+        pytest.param(((0, 3),), id="p-lead"),
+        pytest.param(((0, 1), (1, 0)), id="zero-entry"),
+        pytest.param(((0, 1), (1, 3)), id="p-entry"),
+        pytest.param(((1, 1), (0, 1)), id="rows-out-of-order"),
+        pytest.param(((0, 1), (0, 2)), id="repeated-row"),
+        pytest.param(((0, 1), (3, 1)), id="row-past-the-end"),
+        pytest.param(((3, 1),), id="lead-past-the-end"),
+        pytest.param(((-1, 1),), id="negative-row"),
+    ]
+
+    @pytest.mark.parametrize("column", BAD_COLUMNS)
+    @pytest.mark.parametrize(
+        "before",
+        [
+            pytest.param((), id="first-column"),
+            pytest.param((((2, 1),),), id="new-pivot"),
+            pytest.param((((0, 1), (2, 1)),), id="walk"),
+        ],
+    )
+    def test_copy_checks_on_every_path(self, before, column):
+        # "new-pivot": row 0 leads no pivot yet, so the bad column is taken
+        # as it stands; "walk": it is cleared against the pivot of row 0.
+        matrix = MatrixGFp(3, len(before) + 1, (*before, column))
+        with pytest.raises(ValueError, match="out of"):
+            rank(matrix, PrimeField(3))

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import syzygy_profile_scan
+from conftest import SMALL_PRIMES, presentation_matrix_by_lookup, syzygy_profile_scan
 from lefschetz import (
     MonomialCI,
     PrimeField,
@@ -18,6 +19,7 @@ from lefschetz import (
     hilbert_series_identity,
     kernel_dimension,
     max_rank_in_every_degree,
+    presentation_matrix,
     region,
     slp_via_delta,
     syzygy_profile,
@@ -80,6 +82,19 @@ class TestProfile:
             for tau in range(sum(d) + 1):
                 expected = max(0, tau - profile.alpha + 1) + max(0, tau - profile.beta + 1)
                 assert kernel_dimension(field, *d, tau) == expected, (field.p, d, tau)
+
+
+class TestPresentationMatrix:
+    def test_matches_binomial_lookups(self):
+        # the Lucas row gives the same matrix as one binomial_mod_p per
+        # entry; the prime cycles with the triple to keep the test short
+        fields = [PrimeField(p) for p in SMALL_PRIMES]
+        for d1, d2, d3 in product(range(1, 13), repeat=3):
+            f = fields[(d1 + d2 + d3) % len(fields)]
+            for tau in range(d1 + d2 + d3 + 1):
+                assert presentation_matrix(f, d1, d2, d3, tau) == (
+                    presentation_matrix_by_lookup(f, d1, d2, d3, tau)
+                ), (f.p, d1, d2, d3, tau)
 
 
 class TestGapInvariants:
