@@ -17,7 +17,6 @@ from .classifier import (
 )
 from .graded_quotient import (
     MonomialCI,
-    graded_basis,
     hilbert_function,
     mult_matrix,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "classify",
     "delta_value",
     "delta_zero_criterion",
-    "graded_basis",
     "hilbert_function",
     "hilbert_series_identity",
     "is_slp_oracle",

@@ -52,14 +52,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _split_list(text: str, what: str) -> list[str]:
+    # The items of a comma list, stripped; an empty item is a usage error,
+    # so "2,,3" is not read as "2,3".
+    items = [item.strip() for item in text.split(",")]
+    if not any(items):
+        raise UsageError(f"empty {what}")
+    if not all(items):
+        raise UsageError(f"empty item in {what}: {text!r}")
+    return items
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+    items = _split_list(text, what)
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(int(item) for item in items)
     except ValueError:
         raise UsageError(f"malformed {what}: {text!r}") from None
-    if not values:
-        raise UsageError(f"empty {what}")
-    return values
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -262,9 +271,7 @@ def _sweep_config(args) -> dict:
     modes_text = pick(args.modes, "modes")
     if modes_text is None:
         raise UsageError("verify needs --modes (or 'modes' in the config file)")
-    modes = tuple(m.strip() for m in modes_text.split(",") if m.strip())
-    if not modes:
-        raise UsageError("empty modes")
+    modes = tuple(_split_list(modes_text, "modes"))
     _reject_repeats(modes, "mode")
     _check_modes(modes, n)
 

@@ -1,24 +1,25 @@
 """Monomial complete intersection algebras A = K[x1..xn]/(x1^d1, ..., xn^dn).
 
-Provides the graded monomial bases, the Hilbert function, and the matrices
-of multiplication by powers of the sum of the variables, all over GF(p).
-The sum of the variables is the only linear form this package ever tests:
-for monomial ideals it is a strong (weak) Lefschetz element whenever one
+Provides the algebra's presentation, its Hilbert function, and the matrices
+of multiplication by powers of the sum of the variables over GF(p). The sum
+of the variables is the only linear form this package ever tests: for
+monomial ideals it is a strong (weak) Lefschetz element whenever one
 exists, so nothing is lost.
 
-Monomials are exponent tuples ``(e1, ..., en)`` with ``0 <= ej < dj``.
-Bases are ordered by descending lexicographic order on exponents, fixed
-globally so matrices are reproducible bit for bit across runs. In that
-order a degree piece falls into row blocks, one per prefix
-``(e1, ..., e(n-2))``: the monomials of a block sit on consecutive rows,
-the exponent of x(n-1) falling by one per row. Multiplication matrices are
-filled block by block, so the last two variables cost one window of
-binomials per block and no basis lookup per entry.
+Monomials are exponent tuples ``(e1, ..., en)`` with ``0 <= ej < dj``. The
+rows and columns of a matrix follow the monomial basis of their degree in
+descending lexicographic order on exponents, fixed globally so matrices are
+reproducible bit for bit across runs. In that order a degree piece falls
+into row blocks, one per prefix ``(e1, ..., e(n-2))``: the monomials of a
+block sit on consecutive rows, the exponent of x(n-1) falling by one per
+row. The basis itself is never listed: a matrix is built from the prefixes
+alone, and the last two variables cost one window of binomials per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter
 
 from .prime_field import MatrixGFp, PrimeField, binomial_mod_p
 
@@ -54,30 +55,6 @@ class MonomialCI:
         return sum(d - 1 for d in self.exponents)
 
 
-def graded_basis(algebra: MonomialCI, degree: int) -> tuple[ExponentVector, ...]:
-    """Monomial basis of the graded piece in the given degree.
-
-    Exponent tuples of the given total degree with every component below its
-    bound, in descending lexicographic order. Empty above the top degree.
-    """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    exps = algebra.exponents
-    last = len(exps) - 1
-    out: list[ExponentVector] = []
-
-    def fill(pos: int, remaining: int, prefix: ExponentVector) -> None:
-        if pos == last:
-            if remaining < exps[pos]:
-                out.append(prefix + (remaining,))
-            return
-        for e in range(min(remaining, exps[pos] - 1), -1, -1):
-            fill(pos + 1, remaining - e, prefix + (e,))
-
-    fill(0, degree, ())
-    return tuple(out)
-
-
 def hilbert_function(algebra: MonomialCI, degree: int) -> int:
     """Dimension of the graded piece in the given degree."""
     if degree < 0:
@@ -98,6 +75,24 @@ def hilbert_function(algebra: MonomialCI, degree: int) -> int:
     return coeffs[degree] if degree < len(coeffs) else 0
 
 
+def _prefixes(bounds: tuple[int, ...], total: int, width: int) -> list[tuple[ExponentVector, int]]:
+    # (prefix, rest) for every prefix (e1, ..., em) with 0 <= ej < bounds[j]
+    # and rest = total - sum(prefix) in 0..width, in descending lexicographic
+    # order. Each ej leaves no more than the later variables and the last
+    # two (`width`) can take, so every partial prefix extends to a full one.
+    reach = [width]
+    for d in reversed(bounds[1:]):
+        reach.append(reach[-1] + d - 1)
+    out: list[tuple[ExponentVector, int]] = [((), total)]
+    for d, most in zip(bounds, reversed(reach)):
+        out = [
+            (prefix + (e,), rest - e)
+            for prefix, rest in out
+            for e in range(min(rest, d - 1), max(0, rest - most) - 1, -1)
+        ]
+    return [(prefix, rest) for prefix, rest in out if rest <= width]
+
+
 def mult_matrix(algebra: MonomialCI, power: int, degree: int) -> MatrixGFp:
     """Matrix of multiplication by (x1 + ... + xn)^power on the degree piece.
 
@@ -105,69 +100,73 @@ def mult_matrix(algebra: MonomialCI, power: int, degree: int) -> MatrixGFp:
     of the target degree; degenerate (zero-row or zero-column) shapes are
     allowed and simply have rank 0.
 
-    A column x^e is expanded over the first n - 2 variables only, as the
-    chained binomials of the multinomial coefficients. Each resulting
-    prefix names one row block of the target basis, and with r of the power
-    left, the block receives C(r, k) x(n-1)^(e(n-1) + k) x(n)^(e(n) + r - k)
-    for the window of k that keeps both exponents below their bounds, on
-    consecutive rows. The binomial rows C(r, .) mod p come from
-    :func:`binomial_mod_p`, each r at most once per call.
+    No basis is listed and nothing is walked per column. Only the prefixes
+    (e1, ..., e(n-2)) of the two degrees are enumerated; the first row of
+    each target block and the columns of each source block follow from the
+    degree left to the last two variables. The steps k' of the power over
+    the first n - 2 variables are enumerated once per call, each with its
+    chained binomial c and the r of the power it leaves, and each stores
+    the row c * C(r, k) mod p, reversed, over the k that the last two
+    variables can take at all: max(0, r - d(n) + 1) <= k <= min(r, d(n-1) - 1).
+    Each source prefix gets one plan, the (block, r, row) of every step
+    whose target prefix has a block, shared by all its columns. Column
+    x^e clips each row to the k with e(n-1) + k < d(n-1) and
+    e(n) + r - k < d(n), which land on consecutive rows, and drops the
+    zeros. Binomials come from :func:`binomial_mod_p`.
     """
     if power < 1:
         raise ValueError("power must be at least 1")
-    src = graded_basis(algebra, degree)
-    dst = graded_basis(algebra, degree + power)
-    if algebra.num_variables == 1:
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    exps = algebra.exponents
+    if len(exps) == 1:
         # x^power * x^degree: one target row at most, coefficient 1.
-        return MatrixGFp(len(dst), len(src), tuple(((0, 1),) if dst else () for _ in src))
+        cols = int(degree < exps[0])
+        rows = int(degree + power < exps[0])
+        return MatrixGFp(rows, cols, (((0, 1),) * rows,) * cols)
     field = algebra.field
     p = field.p
-    exps = algebra.exponents
-    split = len(exps) - 2
-    da, db = exps[split], exps[split + 1]
-    # prefix (e1 .. e(n-2)) -> first row of its block + e(n-1) on that row,
-    # so x(n-1)^e x(n)^(...) with that prefix sits on row block[prefix] - e.
+    head, (da, db) = exps[:-2], exps[-2:]
+    width = da + db - 2  # the top degree of the last two variables
+    # target prefix -> first row of its block + the largest e(n-1) in it, so
+    # x(n-1)^e x(n)^(rest - e) with that prefix sits on row block[prefix] - e.
     block: dict[ExponentVector, int] = {}
-    for row, mono in enumerate(dst):
-        block.setdefault(mono[:split], row + mono[split])
-    # Row r of binomials holds C(r, k) mod p for the steps k that can reach a
-    # target: no variable but the last steps by more than `head`, and the
-    # variables after x1 take at most `tail` of the r. Other entries stay 0.
-    head = max(exps[:-1]) - 1
-    tail = algebra.top_degree - (exps[0] - 1)
-    binomials: dict[int, list[int]] = {}
-
-    def binomial_row(r: int) -> list[int]:
-        binom = binomials.get(r)
-        if binom is None:
-            lo = max(0, r - tail)
-            binom = [0] * lo + [binomial_mod_p(r, k, field) for k in range(lo, min(r, head) + 1)]
-            binomials[r] = binom
-        return binom
-
-    def walk(mono, pos, r, coeff, prefix, out) -> None:
-        # Appends the terms of coeff * (x(pos+1) + ... + xn)^r * mono with
-        # the given prefix, in increasing row order: larger steps in earlier
-        # variables come first in descending lexicographic order.
-        if pos == split:
-            ea = mono[pos]
-            lo = max(0, r - (db - 1 - mono[pos + 1]))
-            hi = min(r, da - 1 - ea)
-            if lo > hi:
-                return  # the prefix may have no target monomial at all
-            base = block[prefix] - ea
-            binom = binomial_row(r)
-            out.extend((base - k, coeff * c % p) for k in range(hi, lo - 1, -1) if (c := binom[k]))
-            return
-        e = mono[pos]
-        binom = binomial_row(r)
-        for k in range(min(r, exps[pos] - 1 - e), -1, -1):
-            if c := binom[k]:
-                walk(mono, pos + 1, r - k, coeff * c % p, prefix + (e + k,), out)
-
+    rows = 0
+    for prefix, rest in _prefixes(head, degree + power, width):
+        top = min(rest, da - 1)
+        block[prefix] = rows + top
+        rows += top - max(0, rest - db + 1) + 1
+    # Steps come in descending lexicographic order, so each column meets its
+    # target blocks in increasing row order.
+    steps = []
+    for step, r in _prefixes(head, power, width):
+        c, left = 1, power
+        for k in step:
+            c = c * binomial_mod_p(left, k, field) % p
+            left -= k
+        if c:
+            top = min(r, da - 1)
+            low = max(0, r - db + 1)
+            steps.append((step, r, top, [c * binomial_mod_p(r, k, field) % p
+                                         for k in range(top, low - 1, -1)]))
+    nonzero = itemgetter(1)
     columns = []
-    for mono in src:
-        out: list[tuple[int, int]] = []
-        walk(mono, 0, power, 1, (), out)
-        columns.append(tuple(out))
-    return MatrixGFp(len(dst), len(src), tuple(columns))
+    for prefix, rest in _prefixes(head, degree, width):
+        plan = [
+            (base, r, top, row)
+            for step, r, top, row in steps
+            if (base := block.get(tuple(map(add, prefix, step)))) is not None
+        ]
+        for ea in range(min(rest, da - 1), max(0, rest - db + 1) - 1, -1):
+            # How far x(n-1) and x(n) can still step. A block has
+            # rest + r <= width, so lo <= hi below.
+            room_a, room_b = da - 1 - ea, db - 1 - rest + ea
+            out: list[tuple[int, int]] = []
+            for base, r, top, row in plan:
+                hi = r if r < room_a else room_a
+                lo = r - room_b if r > room_b else 0
+                first = base - ea - hi
+                out.extend(filter(nonzero, zip(range(first, first + hi - lo + 1),
+                                               row[top - hi:top - lo + 1])))
+            columns.append(tuple(out))
+    return MatrixGFp(rows, len(columns), tuple(columns))

@@ -187,11 +187,15 @@ def _small_binomial(n: int, k: int, p: int) -> int:
     return num * pow(den, -1, p) % p if k else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def binomial_mod_p(n: int, k: int, field: PrimeField) -> int:
     """C(n, k) mod p, computed digit by digit via Lucas' theorem.
 
-    Returns 0 when ``k > n``; requires non-negative arguments.
+    Returns 0 when ``k > n``; requires non-negative arguments. The cache
+    holds at most 2**16 = 65,536 values, the least recently used going
+    first, so a long-running process does not grow without bound (about
+    200 bytes an entry for arguments below 2**40, 13 MB when full);
+    ``binomial_mod_p.cache_info()`` reports its use.
     """
     if n < 0 or k < 0:
         raise ValueError("binomial arguments must be non-negative")

@@ -220,17 +220,21 @@ def count_monomials(exponents, degree: int) -> int:
     return count(0, degree)
 
 
+def basis(exponents, degree: int) -> list[tuple[int, ...]]:
+    """Monomial basis of a degree piece: every exponent tuple below the
+    bounds with that sum, by filtering, in descending lexicographic order."""
+    return sorted(
+        (e for e in product(*map(range, exponents)) if sum(e) == degree), reverse=True
+    )
+
+
 def mult_matrix_by_expansion(algebra, power: int, degree: int) -> MatrixGFp:
     """Dense matrix of multiplication by (x1 + ... + xn)^power on a degree piece.
 
-    Independent of the library's build: bases by filtering every exponent
-    tuple and sorting it in descending lexicographic order, entries as
+    Independent of the library's build: bases from ``basis``, entries as
     integer multinomial coefficients from ``math.comb`` reduced mod p.
     """
     exps = algebra.exponents
-
-    def basis(d):
-        return sorted((e for e in product(*map(range, exps)) if sum(e) == d), reverse=True)
 
     def multinomial(steps):
         out, total = 1, 0
@@ -239,7 +243,7 @@ def mult_matrix_by_expansion(algebra, power: int, degree: int) -> MatrixGFp:
             out *= math.comb(total, k)
         return out
 
-    src, dst = basis(degree), basis(degree + power)
+    src, dst = basis(exps, degree), basis(exps, degree + power)
     rows = []
     for target in dst:
         row = []

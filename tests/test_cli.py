@@ -2,16 +2,32 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import lefschetz
 from lefschetz import cli, prime_field
 from lefschetz.cli import main
+
+
+def _load_workloads():
+    # The sweep benchmark's workloads with the sha256 of each JSON report,
+    # read from the benchmark's own file so the digests have one home.
+    path = Path(__file__).resolve().parents[1] / "sweepbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("sweepbench_checks", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_workloads()
 
 
 def run_cli(argv, capsys):
@@ -122,6 +138,9 @@ class TestSyzgap:
             ("malformed-d", ["--p", "3", "--d", "2,x"]),
             ("empty-d", ["--p", "3", "--d", ""]),
             ("separators-only-d", ["--p", "3", "--d", ","]),
+            ("empty-item-d", ["--p", "3", "--d", good_d.replace(",", ",,")]),
+            ("leading-comma-d", ["--p", "3", "--d", "," + good_d]),
+            ("trailing-comma-d", ["--p", "3", "--d", good_d + ","]),
             ("non-integer-p", ["--p", "x", "--d", good_d]),
             ("missing-d", ["--p", "3"]),
             ("unknown-flag", ["--p", "3", "--d", good_d, "--bogus", "1"]),
@@ -349,6 +368,15 @@ class TestVerify:
         assert out == ""
         assert json.loads(target.read_text())["summary"]["disagreements"] == 0
 
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_report_bytes_match_recorded_digest(self, name, tmp_path, capsys):
+        # the whole JSON report of each benchmark grid, byte for byte
+        workload = WORKLOADS[name]
+        report = tmp_path / "report.json"
+        code, out, _ = run_cli(workload.argv(1, str(report)), capsys)
+        assert code == 0 and out == ""
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == workload.digest
+
     def test_empty_modes_rejected(self, capsys):
         code, _, err = run_cli(
             ["verify", "--primes", "2", "--n", "2", "--max", "4", "--modes", ","], capsys
@@ -389,6 +417,31 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["config"]["max_exponent"] == 6
+
+    @pytest.mark.parametrize(
+        "key, value, what",
+        [
+            pytest.param("primes", "2,,3", "prime list", id="primes-inner"),
+            pytest.param("primes", ",2", "prime list", id="primes-leading"),
+            pytest.param("primes", "2,", "prime list", id="primes-trailing"),
+            pytest.param("modes", "oracle,,digits", "modes", id="modes-inner"),
+            pytest.param("modes", ",digits", "modes", id="modes-leading"),
+            pytest.param("modes", "digits,", "modes", id="modes-trailing"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_list_item_names_its_list(self, key, value, what, source, tmp_path, capsys):
+        # "2,,3" is refused, not read as "2,3"
+        given = {"primes": "2", "modes": "digits", key: value}
+        if source == "flag":
+            argv = ["verify", "--primes", given["primes"], "--modes", given["modes"]]
+        else:
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(f"primes = {given['primes']}\nmodes = {given['modes']}\n")
+            argv = ["verify", "--config", str(cfg)]
+        code, out, err = run_cli(argv + ["--max", "4", "--jobs", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: empty item in {what}: {value!r}\n"
 
     def test_repeated_config_key_names_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

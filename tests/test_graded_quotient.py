@@ -1,4 +1,4 @@
-"""Graded bases, Hilbert functions, and multiplication matrices."""
+"""Hilbert functions and multiplication matrices."""
 
 from __future__ import annotations
 
@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_monomials, matmul_mod, mult_matrix_by_expansion
+from conftest import basis, count_monomials, matmul_mod, mult_matrix_by_expansion
 from lefschetz import (
     MonomialCI,
     PrimeField,
-    graded_basis,
     hilbert_function,
     mult_matrix,
     rank,
@@ -42,25 +41,6 @@ class TestMonomialCI:
             MonomialCI(F2, ())
 
 
-class TestGradedBasis:
-    def test_two_variables_degree_one(self):
-        assert graded_basis(MonomialCI(F3, (2, 2)), 1) == ((1, 0), (0, 1))
-
-    def test_above_top_degree_empty(self):
-        assert graded_basis(MonomialCI(F3, (2, 2)), 3) == ()
-
-    def test_enumeration_order(self):
-        assert graded_basis(MonomialCI(F3, (3, 3)), 2) == ((2, 0), (1, 1), (0, 2))
-
-    def test_descending_lexicographic(self):
-        basis = graded_basis(MonomialCI(F3, (4, 4, 4)), 5)
-        assert list(basis) == sorted(basis, reverse=True)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            graded_basis(MonomialCI(F3, (2, 2)), -1)
-
-
 class TestHilbertFunction:
     def test_square_example(self):
         a = MonomialCI(F2, (2, 2))
@@ -74,7 +54,7 @@ class TestHilbertFunction:
             a = MonomialCI(F3, exps)
             for i in range(a.top_degree + 2):
                 hf = hilbert_function(a, i)
-                assert hf == len(graded_basis(a, i))
+                assert hf == len(basis(exps, i))
                 assert hf == count_monomials(exps, i)
 
     @pytest.mark.parametrize("n, bounds", [(1, range(1, 7)), (2, range(1, 7)),
@@ -127,10 +107,34 @@ class TestMultMatrix:
         m = mult_matrix(a, a.top_degree + 1, 0)
         assert m.rows == 0
         assert m.cols == 1
+        # a source degree above the top degree has no columns either
+        m = mult_matrix(a, 1, a.top_degree + 1)
+        assert (m.rows, m.cols, m.columns) == (0, 0, ())
 
     def test_power_must_be_positive(self):
         with pytest.raises(ValueError):
             mult_matrix(MonomialCI(F3, (2, 2)), 0, 0)
+
+    def test_negative_degree_rejected(self):
+        for exps in [(3,), (2, 2), (2, 3, 4)]:
+            with pytest.raises(ValueError) as excinfo:
+                mult_matrix(MonomialCI(F3, exps), 1, -1)
+            # raised by the build itself, not by a helper it calls
+            assert excinfo.traceback[-1].name == "mult_matrix"
+
+    def test_rows_and_columns_in_descending_lexicographic_order(self):
+        # x + y from degree 1 of K[x,y]/(x^3, y^3): columns x, y; rows
+        # x^2, xy, y^2
+        m = mult_matrix(MonomialCI(F3, (3, 3)), 1, 1)
+        assert (m.rows, m.cols) == (3, 2)
+        assert m.columns == (((0, 1), (1, 1)), ((1, 1), (2, 1)))
+        # x + y + z from degree 1 of K[x,y,z]/(x^3, y^3, z^2): columns x, y,
+        # z; rows x^2, xy, xz, y^2, yz (z^2 is zero)
+        m = mult_matrix(MonomialCI(F3, (3, 3, 2)), 1, 1)
+        assert (m.rows, m.cols) == (5, 3)
+        assert m.columns == (
+            ((0, 1), (1, 1), (2, 1)), ((1, 1), (3, 1), (4, 1)), ((2, 1), (4, 1)),
+        )
 
     def test_first_power_on_two_variables(self):
         # multiplication by x+y from degree 1 of K[x,y]/(x^2, y^3)
@@ -158,8 +162,8 @@ class TestMultMatrix:
         a = MonomialCI(big, (3, 3, 3))
         for power, degree in [(2, 1), (3, 0), (4, 2)]:
             m = mult_matrix(a, power, degree)
-            src = graded_basis(a, degree)
-            dst = graded_basis(a, degree + power)
+            src = basis(a.exponents, degree)
+            dst = basis(a.exponents, degree + power)
             for col, mono in enumerate(src):
                 for row, target in enumerate(dst):
                     diff = tuple(t - m for t, m in zip(target, mono))
@@ -175,19 +179,24 @@ class TestMultMatrix:
     def test_matches_dense_expansion_on_small_grids(self):
         # every power 1..t+1 and degree 0..t+1: empty target and source
         # pieces, exponents equal to 1, and collapse mod 2 and 3
-        grids = [(1, 6), (2, 6), (3, 4), (4, 3)]
-        for p in (2, 3, 31):
+        grids = [(1, 6), (2, 6), (3, 4), (4, 3), (5, 2)]
+        algebras = [exps for n, largest in grids
+                    for exps in product(range(1, largest + 1), repeat=n)]
+        # exponents of 1 among the prefix variables, with room in the
+        # others: a source prefix then has target prefixes without a block
+        algebras += [(1, 3, 1, 3), (1, 4, 1, 4), (4, 1, 1, 3), (1, 1, 4, 2),
+                     (2, 1, 3, 1, 3), (1, 3, 1, 2, 2)]
+        for p in (2, 3, 31, 2**31 - 1):
             field = PrimeField(p)
-            for n, largest in grids:
-                for exps in product(range(1, largest + 1), repeat=n):
-                    a = MonomialCI(field, exps)
-                    t = a.top_degree
-                    for power in range(1, t + 2):
-                        for degree in range(t + 2):
-                            expected = mult_matrix_by_expansion(a, power, degree)
-                            assert mult_matrix(a, power, degree) == expected, (
-                                p, exps, power, degree,
-                            )
+            for exps in algebras:
+                a = MonomialCI(field, exps)
+                t = a.top_degree
+                for power in range(1, t + 2):
+                    for degree in range(t + 2):
+                        expected = mult_matrix_by_expansion(a, power, degree)
+                        assert mult_matrix(a, power, degree) == expected, (
+                            p, exps, power, degree,
+                        )
 
 
 @settings(max_examples=40, deadline=None)

@@ -75,6 +75,17 @@ class TestBinomial:
         with pytest.raises(ValueError):
             binomial_row(-1, PrimeField(3))
 
+    def test_cache_is_bounded(self):
+        # more distinct lookups than the documented 2**16 keep the cache at
+        # its bound, and the evicted first values come back correct
+        assert binomial_mod_p.cache_info().maxsize == 2**16
+        f = PrimeField(7)
+        pairs = [(n, k) for n in range(370) for k in range(n + 1)]
+        assert len(pairs) > 2**16
+        wrong = [nk for nk in pairs + pairs[:1000] if binomial_mod_p(*nk, f) != math.comb(*nk) % 7]
+        assert wrong == []
+        assert binomial_mod_p.cache_info().currsize == 2**16
+
     def test_lucas_matches_factorials_up_to_200(self):
         for p in SMALL_PRIMES:
             f = PrimeField(p)
