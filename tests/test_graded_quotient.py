@@ -1,4 +1,4 @@
-"""Hilbert functions and multiplication matrices."""
+"""Graded bases, Hilbert functions, and multiplication matrices."""
 
 from __future__ import annotations
 
@@ -39,6 +39,57 @@ class TestMonomialCI:
             MonomialCI(F2, (2, 0))
         with pytest.raises(ValueError):
             MonomialCI(F2, ())
+
+
+class TestGradedBasis:
+    """The monomial basis of each degree, as the order of the columns and
+    rows of ``mult_matrix``: descending lexicographic, empty above the top
+    degree."""
+
+    def test_two_variables_degree_one(self):
+        # K[x,y]/(x^2, y^2): degree 1 has the two rows x, y
+        m = mult_matrix(MonomialCI(F3, (2, 2)), 1, 0)
+        assert (m.rows, m.cols) == (2, 1)
+        # K[x,y]/(x^2, y^3): columns x, y; x -> xy, y -> xy + y^2
+        m = mult_matrix(MonomialCI(F3, (2, 3)), 1, 1)
+        assert m.columns == (((0, 1),), ((0, 1), (1, 1)))
+
+    def test_above_top_degree_empty(self):
+        a = MonomialCI(F3, (2, 2))
+        # as a source: no columns, and nothing above it to land on
+        m = mult_matrix(a, 1, 3)
+        assert (m.rows, m.cols, m.columns) == (0, 0, ())
+        # as a target: no rows
+        m = mult_matrix(a, 3, 0)
+        assert (m.rows, m.cols, m.columns) == (0, 1, ((),))
+
+    def test_enumeration_order(self):
+        # x + y from degree 1 of K[x,y]/(x^3, y^3): columns x, y; rows
+        # x^2, xy, y^2
+        m = mult_matrix(MonomialCI(F3, (3, 3)), 1, 1)
+        assert (m.rows, m.cols) == (3, 2)
+        assert m.columns == (((0, 1), (1, 1)), ((1, 1), (2, 1)))
+        # K[x,y]/(x^3, y^4) is not symmetric in x and y, so only this order
+        # gives these columns: x^2, xy, y^2 to rows x^2y, xy^2, y^3
+        m = mult_matrix(MonomialCI(F3, (3, 4)), 1, 2)
+        assert m.columns == (((0, 1),), ((0, 1), (1, 1)), ((1, 1), (2, 1)))
+
+    def test_descending_lexicographic(self):
+        # x + y + z from degree 1 of K[x,y,z]/(x^3, y^3, z^2): columns x, y,
+        # z; rows x^2, xy, xz, y^2, yz (z^2 is zero)
+        m = mult_matrix(MonomialCI(F3, (3, 3, 2)), 1, 1)
+        assert (m.rows, m.cols) == (5, 3)
+        assert m.columns == (
+            ((0, 1), (1, 1), (2, 1)), ((1, 1), (3, 1), (4, 1)), ((2, 1), (4, 1)),
+        )
+        # degree 5 as source and as target, against the dense build on
+        # bases sorted in descending lexicographic order
+        for exps in [(4, 4, 4), (2, 4, 5)]:
+            a = MonomialCI(PrimeField(31), exps)
+            for power in (1, 2, 3):
+                for degree in (5, 5 - power):
+                    expected = mult_matrix_by_expansion(a, power, degree)
+                    assert mult_matrix(a, power, degree) == expected, (exps, power, degree)
 
 
 class TestHilbertFunction:
@@ -107,9 +158,6 @@ class TestMultMatrix:
         m = mult_matrix(a, a.top_degree + 1, 0)
         assert m.rows == 0
         assert m.cols == 1
-        # a source degree above the top degree has no columns either
-        m = mult_matrix(a, 1, a.top_degree + 1)
-        assert (m.rows, m.cols, m.columns) == (0, 0, ())
 
     def test_power_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -121,20 +169,6 @@ class TestMultMatrix:
                 mult_matrix(MonomialCI(F3, exps), 1, -1)
             # raised by the build itself, not by a helper it calls
             assert excinfo.traceback[-1].name == "mult_matrix"
-
-    def test_rows_and_columns_in_descending_lexicographic_order(self):
-        # x + y from degree 1 of K[x,y]/(x^3, y^3): columns x, y; rows
-        # x^2, xy, y^2
-        m = mult_matrix(MonomialCI(F3, (3, 3)), 1, 1)
-        assert (m.rows, m.cols) == (3, 2)
-        assert m.columns == (((0, 1), (1, 1)), ((1, 1), (2, 1)))
-        # x + y + z from degree 1 of K[x,y,z]/(x^3, y^3, z^2): columns x, y,
-        # z; rows x^2, xy, xz, y^2, yz (z^2 is zero)
-        m = mult_matrix(MonomialCI(F3, (3, 3, 2)), 1, 1)
-        assert (m.rows, m.cols) == (5, 3)
-        assert m.columns == (
-            ((0, 1), (1, 1), (2, 1)), ((1, 1), (3, 1), (4, 1)), ((2, 1), (4, 1)),
-        )
 
     def test_first_power_on_two_variables(self):
         # multiplication by x+y from degree 1 of K[x,y]/(x^2, y^3)
