@@ -10,11 +10,13 @@ workloads:
 * ``sweep-n2-digits``: p in 2, 3, 5, 7, 2 <= a <= b <= 80, digits and
   manhattan (12,640 entries, 12,131 witnesses).
 
-Each report is built once by the sweep itself at ``--jobs 1``. Its render is
-timed ``REPEATS`` times, once in each of that many fresh interpreters (see
-``layer_runs.py``), as ``verify`` renders a report once, after its workers
-have finished. The run, with the sha256 of the rendered report, is appended
-to the output file:
+Each report is written once by the sweep itself at ``--jobs 1`` and read
+back. Its render is timed ``REPEATS`` times, once in each of that many fresh
+interpreters (see ``layer_runs.py``). ``verify`` itself renders each entry
+in the share that decides it, with the same entry renderer, so this times
+that part of a sweep and the head and tail around it in one piece. The
+run, with the sha256 of the rendered report, is appended to the output
+file:
 
     python3 bench/render_layer.py [--out bench/BENCH_render.json]
 
@@ -24,8 +26,11 @@ This is a measurement, not a test: nothing here asserts a time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
+import io
+import json
 import sys
 import time
 from pathlib import Path
@@ -47,13 +52,19 @@ def _cli():
 
 
 def _report(grid: str) -> dict:
+    # The grid's JSON report, written by the sweep and read back as a dict.
     cli = _cli()
     primes, n, max_exponent, modes = GRIDS[grid]
-    args = cli._build_parser().parse_args(
-        ["verify", "--primes", ",".join(map(str, primes)), "--n", str(n),
-         "--max", str(max_exponent), "--modes", ",".join(modes), "--jobs", "1"]
-    )
-    return cli._run_sweep(cli._sweep_config(args))
+    payload = io.StringIO()
+    with contextlib.redirect_stdout(payload), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(
+            ["verify", "--primes", ",".join(map(str, primes)), "--n", str(n),
+             "--max", str(max_exponent), "--modes", ",".join(modes), "--jobs", "1",
+             "--format", "json"]
+        )
+    if code != 0:
+        sys.exit(f"{grid}: verify exited {code}")
+    return json.loads(payload.getvalue())
 
 
 def _time_render(report: dict) -> tuple[float, str]:

@@ -22,6 +22,7 @@ All functions are pure; everything is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .prime_field import PrimeField
 from .verdict import SlpVerdict
@@ -50,52 +51,54 @@ class ConditionReport:
         return not self.violations
 
 
-def _level_violations(a: int, b: int, step: int) -> list[int]:
-    # With a = m*step + r and b = n*step + s, the four conditions in their
-    # fixed order:
-    #   1. m > 0 implies r >= s - 1
-    #   2. n > 0 implies s >= r - 1
-    #   3. m > 0 and n > 0 imply r + s >= step - 1
-    #   4. r + s <= step + 1
-    m, r = divmod(a, step)
-    n, s = divmod(b, step)
-    bad = []
-    if m > 0 and r < s - 1:
-        bad.append(1)
-    if n > 0 and s < r - 1:
-        bad.append(2)
-    if m > 0 and n > 0 and r + s < step - 1:
-        bad.append(3)
-    if r + s > step + 1:
-        bad.append(4)
-    return bad
-
-
 def _check_two_exponents(a: int, b: int) -> None:
     if a < 2 or b < 2:
         raise ValueError("exponents must be at least 2")
 
 
-def slp_step_check(field: PrimeField, a: int, b: int) -> ConditionReport:
-    """Evaluate the four per-level conditions for K[x,y]/(x^a, y^b).
+def step_violations(field: PrimeField, a: int, b: int) -> Iterator[tuple[int, int]]:
+    """The violated (level, condition) pairs of the per-level check, in order.
+
+    With step = p**level, a = m*step + r and b = n*step + s, the four
+    conditions in their fixed order are
+
+      1. m > 0 implies r >= s - 1
+      2. n > 0 implies s >= r - 1
+      3. m > 0 and n > 0 imply r + s >= step - 1
+      4. r + s <= step + 1
 
     Levels run from 1 up to the first level where p**level >= a + b - 1;
     beyond that both quotients vanish, conditions 1 to 3 are vacuous and
-    condition 4 holds automatically. The report lists every violation in
-    (level, condition) order, and the algebra has the strong Lefschetz
-    property exactly when the report is clean.
+    condition 4 holds automatically. The pairs are yielded as each level is
+    checked, so a caller that needs only the first checks no further level.
     """
     _check_two_exponents(a, b)
     p = field.p
-    violations: list[tuple[int, int]] = []
-    level = 1
+    level, step = 1, p
     while True:
-        step = p**level
-        violations.extend((level, c) for c in _level_violations(a, b, step))
+        m, r = divmod(a, step)
+        n, s = divmod(b, step)
+        if m > 0 and r < s - 1:
+            yield level, 1
+        if n > 0 and s < r - 1:
+            yield level, 2
+        if m > 0 and n > 0 and r + s < step - 1:
+            yield level, 3
+        if r + s > step + 1:
+            yield level, 4
         if step >= a + b - 1:
-            break
-        level += 1
-    return ConditionReport(tuple(violations))
+            return
+        level, step = level + 1, step * p
+
+
+def slp_step_check(field: PrimeField, a: int, b: int) -> ConditionReport:
+    """Evaluate the four per-level conditions for K[x,y]/(x^a, y^b).
+
+    The report lists every violation of :func:`step_violations` in (level,
+    condition) order, and the algebra has the strong Lefschetz property
+    exactly when the report is clean.
+    """
+    return ConditionReport(tuple(step_violations(field, a, b)))
 
 
 def _odd_sum_distance(point: tuple[int, ...], step: int) -> int:

@@ -19,14 +19,14 @@ elapsed time goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
 import multiprocessing
 import os
 import re
 import sys
 import time
+from math import comb
 
 from .classifier import classify, manhattan_check
 from .graded_quotient import MonomialCI
@@ -302,61 +302,95 @@ def _sweep_config(args) -> dict:
     }
 
 
-def _grid(primes, n, max_exponent):
-    # Non-decreasing exponent tuples: every decision route is invariant
-    # under permuting the exponents, so one representative per orbit.
-    def tuples(prefix, remaining, minimum):
-        if remaining == 0:
-            yield prefix
-            return
-        for d in range(minimum, max_exponent + 1):
-            yield from tuples(prefix + (d,), remaining - 1, d)
+# Shares per worker at --jobs N: a worker that ends its share early takes
+# the next one, so no worker idles while another finishes a slow share.
+_SHARES_PER_WORKER = 4
 
+
+def _grid(primes, n, max_exponent):
+    # Non-decreasing exponent tuples in lexicographic order: every decision
+    # route is invariant under permuting the exponents, so one
+    # representative per orbit.
+    exponents = range(2, max_exponent + 1)
     for p in sorted(primes):
-        for ds in tuples((), n, 2):
+        for ds in itertools.combinations_with_replacement(exponents, n):
             yield p, ds
 
 
-def _sweep_worker(task):
-    field, ds, modes = task
-    verdicts = {m: _mode_verdict(m, field, ds) for m in modes}
-    values = list(verdicts.values())
-    agree = len(set(values)) <= 1
-    witness = None
-    if len(ds) == 2 and agree and values[0] is False:
-        w = kernel_witness(MonomialCI(field, ds))
-        witness = _witness_dict(w)
-    return {
-        "p": field.p,
-        "d": list(ds),
-        "verdicts": verdicts,
-        "agree": agree,
-        "witness": witness,
-    }
+def _sweep_share(share) -> tuple[list[str], int, int]:
+    """One share of a sweep: its entries rendered, its SLP and disagreement counts.
+
+    ``share`` is ``((fields, n, max_exponent, modes, format), index, count)``.
+    Share ``index`` of ``count`` holds the algebras at grid positions index,
+    index + count, index + 2*count, ...: costs grow along the grid, so every
+    share samples all of it. The routes are looked up as this module's names
+    at each call, so a wrapper set on them sees every decision.
+    """
+    (fields, n, max_exponent, modes, fmt), index, count = share
+    entry = _RENDERERS[fmt][0]
+    texts = []
+    slp = disagreements = 0
+    for p, ds in itertools.islice(_grid(fields, n, max_exponent), index, None, count):
+        field = fields[p]
+        verdicts = {m: _mode_verdict(m, field, ds) for m in modes}
+        agree = len(set(verdicts.values())) == 1
+        witness = None
+        if not agree:
+            disagreements += 1
+        elif verdicts[modes[0]]:
+            slp += 1
+        elif n == 2:
+            witness = _witness_dict(kernel_witness(MonomialCI(field, ds)))
+        texts.append(entry(p, ds, verdicts, agree, witness))
+    return texts, slp, disagreements
 
 
-def _run_sweep(config) -> dict:
-    fields = config["fields"]
-    tasks = [(fields[p], ds, tuple(config["modes"])) for p, ds in
-             _grid(config["primes"], config["n"], config["max_exponent"])]
-    # More workers than processors only add interpreters; the report does
-    # not depend on the worker count.
-    jobs = min(config["jobs"], len(tasks), _available_cpus()) or 1
+def _merge_shares(results, size: int) -> tuple[list[str], int, int]:
+    # The entry texts of shares 0..count-1 in grid order, with the summed
+    # counts: share i of count fills positions i, i + count, ...
+    texts = [""] * size
+    count = len(results)
+    for index, (part, _, _) in enumerate(results):
+        texts[index::count] = part
+    return texts, sum(r[1] for r in results), sum(r[2] for r in results)
+
+
+def _sweep(config) -> tuple[str, int]:
+    """The rendered report of a sweep and its number of disagreements.
+
+    At one job the whole grid is one share, run in this process; at N jobs a
+    pool of N workers runs ``_SHARES_PER_WORKER`` shares each. Either way the
+    shares' entry texts are merged in grid order and wrapped in the format's
+    head and tail, so the report does not depend on the worker count.
+    """
+    fields, n, max_exponent = config["fields"], config["n"], config["max_exponent"]
+    spec = (fields, n, max_exponent, tuple(config["modes"]), config["format"])
+    # multisets of n exponents from the max_exponent - 1 values 2..max_exponent
+    size = len(fields) * comb(max_exponent + n - 2, n)
+    # More workers than processors only add interpreters.
+    jobs = min(config["jobs"], size, _available_cpus())
     if jobs > 1:
+        count = _SHARES_PER_WORKER * jobs
         with multiprocessing.Pool(jobs) as pool:
-            entries = pool.map(_sweep_worker, tasks, chunksize=32)
+            results = pool.map(_sweep_share, [(spec, i, count) for i in range(count)],
+                               chunksize=1)
     else:
-        entries = [_sweep_worker(t) for t in tasks]
-    slp = sum(1 for e in entries if e["agree"] and e["verdicts"][config["modes"][0]])
-    disagreements = sum(1 for e in entries if not e["agree"])
+        results = [_sweep_share((spec, 0, 1))]
+    texts, slp, disagreements = _merge_shares(results, size)
     summary = {
-        "tuples": len(entries),
+        "tuples": size,
         "slp": slp,
-        "non_slp": len(entries) - slp - disagreements,
+        "non_slp": size - slp - disagreements,
         "disagreements": disagreements,
     }
     reported = {k: config[k] for k in ("primes", "n", "max_exponent", "modes")}
-    return {"config": reported, "entries": entries, "summary": summary}
+    return _RENDERERS[config["format"]][1](reported, texts, summary), disagreements
+
+
+# Each format is an entry renderer, called as (p, d, verdicts, agree,
+# witness) with the witness a dict as _witness_dict builds it or None, and an
+# assembler that wraps the entry texts, in grid order, in the report's head
+# and tail. Sweeps and render_* both build their reports from these pieces.
 
 
 def _json_ints(values, pad: str) -> str:
@@ -367,92 +401,122 @@ def _json_ints(values, pad: str) -> str:
     return f"[\n{pad}{items}\n{pad[:-2]}]"
 
 
-def _json_entry(e: dict) -> str:
+def _json_entry(p, d, verdicts, agree, witness) -> str:
     # One report entry at depth 2 of the report, keys in sorted order. Mode
     # names are identifiers from MODES, so no string needs escaping.
-    verdicts = ",\n".join(
+    vtext = ",\n".join(
         f'        "{mode}": {"true" if v else "false"}'
-        for mode, v in sorted(e["verdicts"].items())
+        for mode, v in sorted(verdicts.items())
     )
-    verdicts = f"{{\n{verdicts}\n      }}" if verdicts else "{}"
-    w = e["witness"]
-    witness = "null" if w is None else (
-        f'{{\n        "monomial": {_json_ints(w["monomial"], " " * 10)},\n'
-        f'        "power": {w["power"]},\n'
-        f'        "target_degree": {w["target_degree"]}\n      }}'
+    vtext = f"{{\n{vtext}\n      }}" if vtext else "{}"
+    wtext = "null" if witness is None else (
+        f'{{\n        "monomial": {_json_ints(witness["monomial"], " " * 10)},\n'
+        f'        "power": {witness["power"]},\n'
+        f'        "target_degree": {witness["target_degree"]}\n      }}'
     )
     return (
-        f'    {{\n      "agree": {"true" if e["agree"] else "false"},\n'
-        f'      "d": {_json_ints(e["d"], " " * 8)},\n'
-        f'      "p": {e["p"]},\n'
-        f'      "verdicts": {verdicts},\n'
-        f'      "witness": {witness}\n    }}'
+        f'    {{\n      "agree": {"true" if agree else "false"},\n'
+        f'      "d": {_json_ints(d, " " * 8)},\n'
+        f'      "p": {p},\n'
+        f'      "verdicts": {vtext},\n'
+        f'      "witness": {wtext}\n    }}'
     )
+
+
+def _json_report(config: dict, texts: list[str], summary: dict) -> str:
+    # With an indent, json.dumps runs its pure-Python encoder, so only the
+    # small config and summary go through it.
+    head = json.dumps({"config": config}, indent=2, sort_keys=True)
+    tail = json.dumps({"summary": summary}, indent=2, sort_keys=True)
+    body = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
+    return f'{head[:-2]},\n  "entries": {body},\n{tail[2:]}\n'
+
+
+_CSV_HEADER = (
+    "p,d,verdict_oracle,verdict_digits,verdict_manhattan,"
+    "verdict_delta,agree,witness_monomial,witness_power"
+)
+
+
+def _csv_entry(p, d, verdicts, agree, witness) -> str:
+    # No cell holds a comma, a quote or a line break, so csv.writer would
+    # quote none: a row is its cells joined by commas.
+    cells = [str(p), ";".join(map(str, d))]
+    for mode in MODES:
+        v = verdicts.get(mode)
+        cells.append("" if v is None else "true" if v else "false")
+    cells.append("true" if agree else "false")
+    if witness:
+        cells += [";".join(map(str, witness["monomial"])), str(witness["power"])]
+    else:
+        cells += ["", ""]
+    return ",".join(cells)
+
+
+def _csv_report(config: dict, texts: list[str], summary: dict) -> str:
+    return "\n".join([_CSV_HEADER, *texts]) + "\n"
+
+
+def _text_entry(p, d, verdicts, agree, witness) -> str:
+    parts = [f"p={p}", "d=" + ";".join(map(str, d))]
+    for mode in MODES:
+        v = verdicts.get(mode)
+        if v is not None:
+            parts.append(f"{mode}={'yes' if v else 'no'}")
+    parts.append(f"agree={'yes' if agree else 'no'}")
+    if witness:
+        parts.append("witness=" + ";".join(map(str, witness["monomial"])))
+        parts.append(f"power={witness['power']}")
+    return " ".join(parts)
+
+
+def _text_report(config: dict, texts: list[str], summary: dict) -> str:
+    last = (
+        f"summary: tuples={summary['tuples']} slp={summary['slp']} "
+        f"non_slp={summary['non_slp']} disagreements={summary['disagreements']}"
+    )
+    return "\n".join([*texts, last]) + "\n"
+
+
+_RENDERERS = {
+    "json": (_json_entry, _json_report),
+    "csv": (_csv_entry, _csv_report),
+    "text": (_text_entry, _text_report),
+}
+
+
+def _render(fmt: str, report: dict) -> str:
+    entry, assemble = _RENDERERS[fmt]
+    texts = [entry(e["p"], e["d"], e["verdicts"], e["agree"], e["witness"])
+             for e in report["entries"]]
+    return assemble(report["config"], texts, report["summary"])
 
 
 def render_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    With an indent, ``json.dumps`` runs its pure-Python encoder, so the
-    entries, nearly all of a report, are written from their fixed schema;
-    ``config`` and ``summary`` still go through ``json.dumps``.
+    ``report`` has the keys ``config``, ``entries`` and ``summary`` of a
+    ``verify`` JSON report. The entries, nearly all of a report, are
+    written from their fixed schema.
     """
-    head = json.dumps({"config": report["config"]}, indent=2, sort_keys=True)
-    tail = json.dumps({"summary": report["summary"]}, indent=2, sort_keys=True)
-    entries = ",\n".join(map(_json_entry, report["entries"]))
-    body = f"[\n{entries}\n  ]" if entries else "[]"
-    return f'{head[:-2]},\n  "entries": {body},\n{tail[2:]}\n'
+    return _render("json", report)
 
 
 def render_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["p", "d", "verdict_oracle", "verdict_digits", "verdict_manhattan",
-         "verdict_delta", "agree", "witness_monomial", "witness_power"]
-    )
-    for e in report["entries"]:
-        row = [e["p"], ";".join(str(d) for d in e["d"])]
-        for mode in MODES:
-            v = e["verdicts"].get(mode)
-            row.append("" if v is None else str(v).lower())
-        row.append(str(e["agree"]).lower())
-        w = e["witness"]
-        row.append(";".join(str(x) for x in w["monomial"]) if w else "")
-        row.append(w["power"] if w else "")
-        writer.writerow(row)
-    return buf.getvalue()
+    """The ``verify`` CSV report of ``report``: a header row, one row an entry."""
+    return _render("csv", report)
 
 
 def render_text(report: dict) -> str:
-    lines = []
-    for e in report["entries"]:
-        parts = [f"p={e['p']}", "d=" + ";".join(str(d) for d in e["d"])]
-        for mode in MODES:
-            v = e["verdicts"].get(mode)
-            if v is not None:
-                parts.append(f"{mode}={'yes' if v else 'no'}")
-        parts.append(f"agree={'yes' if e['agree'] else 'no'}")
-        if e["witness"]:
-            w = e["witness"]
-            parts.append("witness=" + ";".join(str(x) for x in w["monomial"]))
-            parts.append(f"power={w['power']}")
-        lines.append(" ".join(parts))
-    s = report["summary"]
-    lines.append(
-        f"summary: tuples={s['tuples']} slp={s['slp']} "
-        f"non_slp={s['non_slp']} disagreements={s['disagreements']}"
-    )
-    return "\n".join(lines) + "\n"
+    """The ``verify`` text report of ``report``: one line an entry, then the summary."""
+    return _render("text", report)
 
 
 def _cmd_verify(args) -> int:
     config = _sweep_config(args)
     started = time.monotonic()
-    report = _run_sweep(config)
+    payload, disagreements = _sweep(config)
     elapsed = time.monotonic() - started
-    renderer = {"json": render_json, "csv": render_csv, "text": render_text}[config["format"]]
-    payload = renderer(report)
     if config["out"]:
         try:
             with open(config["out"], "w", encoding="utf-8", newline="") as handle:
@@ -462,7 +526,7 @@ def _cmd_verify(args) -> int:
     else:
         sys.stdout.write(payload)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return 0 if report["summary"]["disagreements"] == 0 else 1
+    return 0 if disagreements == 0 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ before it is returned.
 
 from __future__ import annotations
 
-from .classifier import slp_step_check
+from .classifier import step_violations
 from .graded_quotient import MonomialCI, mult_matrix
 from .prime_field import binomial_mod_p, rank
 from .verdict import KernelWitness, SlpVerdict
@@ -123,10 +123,10 @@ def kernel_witness(algebra: MonomialCI) -> KernelWitness:
     a, b = algebra.exponents
     if a < 2 or b < 2:
         raise ValueError("algebra has the strong Lefschetz property; no witness exists")
-    report = slp_step_check(algebra.field, a, b)
-    if report.satisfied:
+    first = next(step_violations(algebra.field, a, b), None)
+    if first is None:
         raise ValueError("algebra has the strong Lefschetz property; no witness exists")
-    level, cond = report.violations[0]
+    level, cond = first
     step = algebra.field.p**level
     mq, r = divmod(a, step)
     nq, s = divmod(b, step)

@@ -104,7 +104,9 @@ def rank(matrix: MatrixGFp, field: PrimeField) -> int:
     index that is out of range or not above the previous one are rejected.
     A column whose leading row leads no pivot yet becomes a new pivot as it
     stands, scaled to lead with 1, with no working vector and no walk; every
-    unit column and the first column to reach each row take this path. Any
+    unit column and the first column to reach each row take this path. A
+    one-entry column on a row whose pivot has no entries below its lead is a
+    multiple of that pivot, so it reduces to zero and is skipped. Any
     other column is copied into a dense working vector and walked from its
     first row down: a nonzero entry in a row that leads a pivot column is
     cleared by subtracting that pivot, and the first nonzero entry in any
@@ -118,7 +120,7 @@ def rank(matrix: MatrixGFp, field: PrimeField) -> int:
     p = field.p
     nrows = matrix.rows
     # leading row -> the pivot's entries below it, as (row, entry) pairs
-    pivots: dict[int, list[tuple[int, int]]] = {}
+    pivots: dict[int, Sequence[tuple[int, int]]] = {}
     for column in matrix.columns:
         last = -1
         for i, e in column:
@@ -130,9 +132,15 @@ def rank(matrix: MatrixGFp, field: PrimeField) -> int:
         if not column or len(pivots) == nrows:
             continue
         lead, f = column[0]
-        if lead not in pivots:
-            inv = pow(f, -1, p)
-            pivots[lead] = [(j, e * inv % p) for j, e in column[1:]]
+        pivot = pivots.get(lead)
+        if pivot is None:
+            if len(column) == 1:
+                pivots[lead] = ()
+            else:
+                inv = pow(f, -1, p)
+                pivots[lead] = [(j, e * inv % p) for j, e in column[1:]]
+            continue
+        if not pivot and len(column) == 1:
             continue
         v = [0] * nrows
         for i, e in column:

@@ -23,7 +23,7 @@ from lefschetz import (
     manhattan_check,
     slp_step_check,
 )
-from lefschetz.classifier import _odd_sum_distance
+from lefschetz.classifier import _odd_sum_distance, step_violations
 from lefschetz.prime_field import MAX_CHARACTERISTIC
 
 F2 = PrimeField(2)
@@ -66,6 +66,18 @@ class TestStepCheck:
     def test_exponent_bounds(self):
         with pytest.raises(ValueError):
             slp_step_check(F3, 1, 4)
+        with pytest.raises(ValueError):
+            next(step_violations(F3, 4, 1))
+
+    def test_violations_come_in_level_then_condition_order(self):
+        # kernel_witness takes the first one yielded
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            for a in range(2, 30):
+                for b in range(2, 30):
+                    found = list(step_violations(field, a, b))
+                    assert found == sorted(set(found))
+                    assert slp_step_check(field, a, b).violations == tuple(found)
 
 
 class TestOddSumDistance:

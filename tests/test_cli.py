@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import importlib.util
+import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -174,6 +177,46 @@ def test_single_algebra_bad_input_is_a_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+# Sweeps (verify arguments) and hand-built reports (names) to render.
+RENDER_SOURCES = [
+    pytest.param(["--primes", "2,3", "--n", "1", "--max", "6",
+                  "--modes", "oracle,digits"], id="n1"),
+    pytest.param(["--primes", "2,3", "--n", "2", "--max", "8",
+                  "--modes", "oracle,digits"], id="n2"),
+    pytest.param(["--primes", "3", "--n", "3", "--max", "4",
+                  "--modes", "oracle,digits"], id="n3"),
+    *(pytest.param(["--primes", "2,3", "--max", "6", "--modes", mode], id=mode)
+      for mode in cli.MODES),
+    pytest.param(["--primes", "2,3", "--max", "6",
+                  "--modes", "delta,manhattan,oracle,digits"], id="all-modes"),
+    pytest.param(["--primes", "2,3,5,7", "--max", "20",
+                  "--modes", "digits,manhattan"], id="digits-manhattan"),
+    *(pytest.param(kind, id=kind)
+      for kind in ("disagreement", "empty-containers", "no-entries")),
+]
+
+
+def csv_by_writer(report: dict) -> str:
+    """The CSV report as ``csv.writer`` writes it: the reference for ``render_csv``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["p", "d", "verdict_oracle", "verdict_digits", "verdict_manhattan",
+         "verdict_delta", "agree", "witness_monomial", "witness_power"]
+    )
+    for e in report["entries"]:
+        row = [e["p"], ";".join(str(d) for d in e["d"])]
+        for mode in cli.MODES:
+            v = e["verdicts"].get(mode)
+            row.append("" if v is None else str(v).lower())
+        row.append(str(e["agree"]).lower())
+        w = e["witness"]
+        row.append(";".join(str(x) for x in w["monomial"]) if w else "")
+        row.append(w["power"] if w else "")
+        writer.writerow(row)
+    return buf.getvalue()
+
+
 class TestVerify:
     BASE =["verify", "--primes", "2,3", "--n", "2", "--max", "8",
             "--modes", "oracle,digits", "--jobs", "1"]
@@ -206,8 +249,10 @@ class TestVerify:
 
     @staticmethod
     def _report(argv):
-        args = cli._build_parser().parse_args(["verify", "--jobs", "1"] + argv)
-        return cli._run_sweep(cli._sweep_config(args))
+        # The JSON report of a sweep, read back as a dict.
+        args = cli._build_parser().parse_args(["verify", "--jobs", "1", "--format", "json"] + argv)
+        payload, _ = cli._sweep(cli._sweep_config(args))
+        return json.loads(payload)
 
     @staticmethod
     def _hand_built_report(kind):
@@ -226,25 +271,7 @@ class TestVerify:
             report["entries"] = []
         return report
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            pytest.param(["--primes", "2,3", "--n", "1", "--max", "6",
-                          "--modes", "oracle,digits"], id="n1"),
-            pytest.param(["--primes", "2,3", "--n", "2", "--max", "8",
-                          "--modes", "oracle,digits"], id="n2"),
-            pytest.param(["--primes", "3", "--n", "3", "--max", "4",
-                          "--modes", "oracle,digits"], id="n3"),
-            *(pytest.param(["--primes", "2,3", "--max", "6", "--modes", mode], id=mode)
-              for mode in cli.MODES),
-            pytest.param(["--primes", "2,3", "--max", "6",
-                          "--modes", "delta,manhattan,oracle,digits"], id="all-modes"),
-            pytest.param(["--primes", "2,3,5,7", "--max", "20",
-                          "--modes", "digits,manhattan"], id="digits-manhattan"),
-            *(pytest.param(kind, id=kind)
-              for kind in ("disagreement", "empty-containers", "no-entries")),
-        ],
-    )
+    @pytest.mark.parametrize("source", RENDER_SOURCES)
     def test_json_render_matches_reference_encoder(self, source):
         if isinstance(source, str):
             report = self._hand_built_report(source)
@@ -252,11 +279,72 @@ class TestVerify:
             report = self._report(source)
         assert cli.render_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("source", RENDER_SOURCES)
+    def test_csv_render_matches_csv_writer(self, source):
+        if isinstance(source, str):
+            report = self._hand_built_report(source)
+        else:
+            report = self._report(source)
+        assert cli.render_csv(report) == csv_by_writer(report)
+
     def test_jobs_do_not_change_output(self, capsys):
         _, serial, _ = run_cli(self.BASE + ["--format", "json"], capsys)
         argv = [x for x in self.BASE if x not in ("--jobs", "1")]
         _, parallel, _ = run_cli(argv + ["--jobs", "2", "--format", "json"], capsys)
         assert serial == parallel
+
+    # Grids whose reports must not depend on the worker count: one
+    # variable, three variables, and three algebras for the eight shares of
+    # two workers.
+    SHARED_GRIDS = [
+        pytest.param(["--primes", "3,2", "--n", "1", "--max", "7",
+                      "--modes", "oracle,digits"], id="n1"),
+        pytest.param(["--primes", "3", "--n", "3", "--max", "5",
+                      "--modes", "oracle,digits"], id="n3"),
+        pytest.param(["--primes", "2", "--n", "2", "--max", "3",
+                      "--modes", "digits,manhattan,delta"], id="fewer-algebras-than-shares"),
+    ]
+
+    @pytest.mark.parametrize("grid", SHARED_GRIDS)
+    @pytest.mark.parametrize("context", ["default", "spawn"])
+    def test_every_format_is_the_same_at_one_and_two_jobs(
+        self, grid, context, monkeypatch, capsys
+    ):
+        # Under "spawn" each worker is a new interpreter, so the shares and
+        # their results are shown to pickle and the module to re-import.
+        pools = []
+        real = multiprocessing.get_context(None if context == "default" else context)
+
+        class Recording:
+            @staticmethod
+            def Pool(processes):
+                pools.append(processes)
+                return real.Pool(processes)
+
+        monkeypatch.setattr(cli, "multiprocessing", Recording)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        for fmt in cli.FORMATS:
+            argv = ["verify", *grid, "--format", fmt, "--jobs"]
+            code, serial, _ = run_cli(argv + ["1"], capsys)
+            assert code == 0
+            code, parallel, _ = run_cli(argv + ["2"], capsys)
+            assert code == 0 and parallel == serial, fmt
+        assert pools == [2] * len(cli.FORMATS)
+
+    @pytest.mark.parametrize("grid", SHARED_GRIDS[1:] + [
+        pytest.param(["--primes", "2,3", "--max", "7", "--modes", "oracle,digits,manhattan"],
+                     id="n2-witnesses"),
+    ])
+    def test_merged_shares_equal_one_share(self, grid):
+        args = cli._build_parser().parse_args(["verify", *grid, "--format", "json"])
+        config = cli._sweep_config(args)
+        spec = (config["fields"], config["n"], config["max_exponent"],
+                tuple(config["modes"]), config["format"])
+        whole = cli._sweep_share((spec, 0, 1))
+        for count in range(1, 6):
+            shares = [cli._sweep_share((spec, index, count)) for index in range(count)]
+            assert sum(len(texts) for texts, _, _ in shares) == len(whole[0])
+            assert cli._merge_shares(shares, len(whole[0])) == whole, count
 
     @pytest.fixture
     def in_process_pool(self, monkeypatch):

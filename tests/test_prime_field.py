@@ -250,6 +250,41 @@ class TestRankKernel:
             m = MatrixGFp(nrows, len(columns), columns)
             assert rank(m, f) == rank_by_dense_walk(m, f), m
 
+    @pytest.mark.parametrize(
+        "columns, expected",
+        [
+            # a unit pivot on row 0, then multiples of it: reduced to zero
+            pytest.param([((0, 1),), ((0, 2),), ((0, 1),)], 1, id="on-a-unit-pivot"),
+            # row 0 leads a pivot with a tail, so (0, 1) leaves (1, -1): a new pivot
+            pytest.param([((0, 1), (1, 1)), ((0, 1),), ((1, 2),)], 2, id="on-a-pivot-with-a-tail"),
+            # the unit pivot of row 1 does not clear the tail of row 0's pivot
+            pytest.param([((1, 1),), ((0, 1), (1, 1)), ((0, 2),)], 2, id="unit-pivot-below"),
+            pytest.param([((2, 1),), ((0, 1), (2, 1)), ((0, 1),), ((1, 1),)], 3, id="mixed"),
+        ],
+    )
+    @pytest.mark.parametrize("p", [3, MAX_CHARACTERISTIC])
+    def test_one_entry_columns(self, columns, expected, p):
+        m = MatrixGFp(3, len(columns), tuple(columns))
+        f = PrimeField(p)
+        assert rank(m, f) == rank_by_dense_walk(m, f) == expected
+
+    @pytest.mark.parametrize("p", [2, 5, MAX_CHARACTERISTIC])
+    def test_one_entry_columns_against_the_dense_walk(self, p):
+        # Mostly one-entry columns, so that many land on rows led by a pivot
+        # with no tail and many on rows led by a pivot with one.
+        f = PrimeField(p)
+        rng = random.Random(p)
+        entries = (1, 2 % p or 1, p - 1)
+        for _ in range(300):
+            nrows = rng.randint(1, 6)
+            columns = []
+            for _ in range(rng.randint(1, 10)):
+                size = 1 if rng.random() < 0.6 else rng.randint(2, nrows) if nrows > 1 else 1
+                rows = sorted(rng.sample(range(nrows), size))
+                columns.append(tuple((i, rng.choice(entries)) for i in rows))
+            m = MatrixGFp(nrows, len(columns), tuple(columns))
+            assert rank(m, f) == rank_by_dense_walk(m, f), m
+
     BAD_COLUMNS = [
         pytest.param(((0, 0),), id="zero-lead"),
         pytest.param(((0, 3),), id="p-lead"),
@@ -268,12 +303,15 @@ class TestRankKernel:
         [
             pytest.param((), id="first-column"),
             pytest.param((((2, 1),),), id="new-pivot"),
+            pytest.param((((0, 1),),), id="unit-pivot"),
             pytest.param((((0, 1), (2, 1)),), id="walk"),
         ],
     )
     def test_copy_checks_on_every_path(self, before, column):
         # "new-pivot": row 0 leads no pivot yet, so the bad column is taken
-        # as it stands; "walk": it is cleared against the pivot of row 0.
+        # as it stands; "unit-pivot": row 0 leads a pivot with no tail, so a
+        # one-entry column there is skipped; "walk": it is cleared against
+        # the pivot of row 0.
         matrix = MatrixGFp(3, len(before) + 1, (*before, column))
         with pytest.raises(ValueError, match="out of"):
             rank(matrix, PrimeField(3))
