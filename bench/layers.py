@@ -1,0 +1,307 @@
+"""Layer benchmarks on the workloads of ``sweepbench``.
+
+    python3 bench/layers.py [BENCH ...]
+
+BENCH is one of the benchmarks below; no names runs all six. Every grid,
+mode list, ``verify`` argument list and report digest comes from
+``sweepbench/checks.py``.
+
+* ``oracle``: the ``mult_matrix`` builds of the central maps that
+  ``is_slp_oracle`` makes on ``sweep-n3-largep`` and ``sweep-n2``, and the
+  ``rank`` of every built map;
+* ``syzygy``: the same for the ``presentation_matrix`` builds that
+  ``slp_via_delta`` makes on ``sweep-n2``;
+* ``witness``: ``kernel_witness`` on every non-SLP pair of
+  ``sweep-n2-digits``;
+* ``route``: each decision route as ``verify`` calls it, on the workload
+  that runs it, with the number of algebras it accepts;
+* ``render``: ``cli.render_json`` on each workload's report, whose bytes
+  must have the recorded sha256;
+* ``verify``: a whole ``verify`` of each workload, from argument parsing to
+  the written report, at ``--jobs 1`` and at ``--jobs N`` (N the processors
+  this process may use); each report must have its recorded sha256.
+
+Each layer is sampled ``REPEATS`` times, every sample in a fresh spawned
+interpreter, so caches start empty as in one sweep. A round takes one
+sample of every layer of the benchmark, in reverse order every other round.
+The run (machine, git commit, every sample) is appended to
+``bench/BENCH_<bench>.json``, its layers keyed ``"<workload> <layer>"``.
+
+This is a measurement, not a test: nothing here asserts a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import multiprocessing
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path.insert(0, str(ROOT / "sweepbench"))
+from checks import WORKLOADS  # noqa: E402
+
+REPEATS = 9
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+# route -> the workload that runs it
+ROUTES = {
+    "manhattan_check": "sweep-n2-digits",
+    "classify": "sweep-n2-digits",
+    "slp_via_delta": "sweep-n2",
+    "is_slp_oracle": "sweep-n3-largep",
+}
+# matrix benchmark -> (module, matrix function, route that calls it, its workloads)
+MATRICES = {
+    "oracle": ("lefschetz_oracle", "mult_matrix", "is_slp_oracle",
+               ("sweep-n3-largep", "sweep-n2")),
+    "syzygy": ("syzygy_gap", "presentation_matrix", "slp_via_delta", ("sweep-n2",)),
+}
+
+
+def import_lefschetz():
+    sys.path.insert(0, str(SRC))
+    import lefschetz
+
+    if not Path(lefschetz.__file__).resolve().is_relative_to(SRC):
+        sys.exit(f"lefschetz imported from {lefschetz.__file__}, not from {SRC}")
+    return lefschetz
+
+
+def _cli():
+    import_lefschetz()
+    return importlib.import_module("lefschetz.cli")
+
+
+def _calls(lz, route: str, workload: str) -> list[tuple]:
+    # The arguments ``verify`` passes to the route (or to kernel_witness),
+    # one tuple per algebra of the workload, in grid order.
+    fields = {p: lz.PrimeField(p) for p in WORKLOADS[workload].primes}
+    if route == "is_slp_oracle":
+        return [(lz.MonomialCI(fields[p], ds),) for p, ds in WORKLOADS[workload].grid()]
+    if route == "classify":
+        return [(fields[p], ds) for p, ds in WORKLOADS[workload].grid()]
+    return [(fields[p], *ds) for p, ds in WORKLOADS[workload].grid()]
+
+
+def _recorded_builds(lz, bench: str, workload: str) -> list[tuple]:
+    # The arguments of every matrix the route builds while it decides the
+    # workload, recorded by wrapping the matrix function's name in the module
+    # that calls it.
+    module_name, matrix_fn, route, _ = MATRICES[bench]
+    module = importlib.import_module(f"lefschetz.{module_name}")
+    build = getattr(module, matrix_fn)
+    builds = []
+
+    def recording(*args):
+        builds.append(args)
+        return build(*args)
+
+    setattr(module, matrix_fn, recording)
+    try:
+        for args in _calls(lz, route, workload):
+            getattr(lz, route)(*args)
+    finally:
+        setattr(module, matrix_fn, build)
+    return builds
+
+
+# The samplers run in a fresh interpreter and return the wall time and an
+# outcome, which must be the same in every sample of a layer.
+
+
+def _time_builds(matrix_fn: str, builds: list[tuple], rank_them: bool) -> tuple[float, dict]:
+    lz = import_lefschetz()
+    build = getattr(lz, matrix_fn)
+    if rank_them:
+        # the first argument is the algebra (with its field) or the field
+        matrices = [(build(*args), getattr(args[0], "field", args[0])) for args in builds]
+        started = time.perf_counter()
+        for matrix, field in matrices:
+            lz.rank(matrix, field)
+    else:
+        started = time.perf_counter()
+        for args in builds:
+            build(*args)
+    return time.perf_counter() - started, {}
+
+
+def _time_calls(name: str, calls: list[tuple], count_slp: bool) -> tuple[float, dict]:
+    lz = import_lefschetz()
+    fn = getattr(lz, name)
+    started = time.perf_counter()
+    results = [fn(*args) for args in calls]
+    elapsed = time.perf_counter() - started
+    if not count_slp:
+        return elapsed, {}
+    return elapsed, {"has_slp": sum(getattr(r, "has_slp", r) for r in results)}
+
+
+def _time_render(report: dict) -> tuple[float, dict]:
+    cli = _cli()
+    started = time.perf_counter()
+    text = cli.render_json(report)
+    elapsed = time.perf_counter() - started
+    return elapsed, {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def _time_verify(argv: list[str], out: str) -> tuple[float, dict]:
+    # A spawned interpreter inherits the spawn start method; the platform
+    # default is restored so that verify starts its pool as it does from the
+    # command line.
+    multiprocessing.set_start_method(None, force=True)
+    cli = _cli()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        started = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - started
+    if code != 0:
+        raise RuntimeError(f"verify exited {code}: {err.getvalue()}")
+    return elapsed, {"sha256": hashlib.sha256(Path(out).read_bytes()).hexdigest()}
+
+
+def in_fresh_interpreter(fn, *args):
+    """``fn(*args)`` in a single-worker spawned pool: a new interpreter each call."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def tasks(bench: str, work: str) -> list[tuple]:
+    """``(workload, layer, calls, sampler, args)`` of every layer of the bench."""
+    lz = import_lefschetz()
+    out = str(Path(work) / "report.json")
+    if bench in MATRICES:
+        _, matrix_fn, _, workloads = MATRICES[bench]
+        series = []
+        for w in workloads:
+            builds = _recorded_builds(lz, bench, w)
+            series += [(w, layer, len(builds), _time_builds, (matrix_fn, builds, layer == "rank"))
+                       for layer in (matrix_fn, "rank")]
+        return series
+    if bench == "witness":
+        calls = [args for args in _calls(lz, "kernel_witness", "sweep-n2-digits")
+                 if lz.slp_step_check(*args)]
+        return [("sweep-n2-digits", "kernel_witness", len(calls), _time_calls,
+                 ("kernel_witness", calls, False))]
+    if bench == "route":
+        return [(w, route, WORKLOADS[w].algebras, _time_calls,
+                 (route, _calls(lz, route, w), True)) for route, w in ROUTES.items()]
+    if bench == "render":
+        reports = {}
+        for w in WORKLOADS:
+            in_fresh_interpreter(_time_verify, WORKLOADS[w].argv(1, out), out)
+            reports[w] = json.loads(Path(out).read_text())
+        return [(w, "render_json", 1, _time_render, (reports[w],)) for w in WORKLOADS]
+    return [(w, f"--jobs {jobs}", 1, _time_verify, (WORKLOADS[w].argv(jobs, out), out))
+            for w in WORKLOADS for jobs in sorted({1, CORES})]
+
+
+def _git(*args: str) -> subprocess.CompletedProcess | None:
+    try:
+        return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+    except OSError:
+        return None
+
+
+def machine() -> dict:
+    head = _git("rev-parse", "HEAD")
+    changed = _git("diff", "--quiet", "HEAD", "--", "src")
+    return {
+        "git_commit": head.stdout.strip() if head and head.returncode == 0 else None,
+        # whether src/ differs from that commit (a measured, uncommitted change)
+        "src_modified": changed.returncode == 1 if changed else None,
+        "cores": CORES,
+        "online_cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+
+
+def _significant(x: float) -> float:
+    # 4 significant digits, so a layer near 1 ms is as comparable as one near 1 s
+    return float(f"{x:.4g}")
+
+
+def summary(samples: list[float], calls: int) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {
+        "calls": calls,
+        "median_s": _significant(median),
+        "q1_s": _significant(q1),
+        "q3_s": _significant(q3),
+        "per_call_us": round(median / calls * 1e6, 2),
+        "samples_s": [_significant(s) for s in samples],
+    }
+
+
+def append_run(out: Path, header: dict, run: dict) -> None:
+    """Append ``run`` to the history in ``out``, started with ``header`` if new."""
+    history = json.loads(out.read_text()) if out.exists() else {**header, "runs": []}
+    history["runs"].append(
+        {"date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "machine": machine(), **run}
+    )
+    out.write_text(json.dumps(history, indent=2) + "\n")
+
+
+def run(bench: str) -> None:
+    """Sample every layer of ``bench`` and append the run to its file."""
+    with tempfile.TemporaryDirectory() as work:
+        series = tasks(bench, work)
+        samples = {(w, layer): [] for w, layer, *_ in series}
+        outcomes = {key: [] for key in samples}
+        for r in range(REPEATS):
+            for w, layer, _, sampler, args in series if r % 2 == 0 else series[::-1]:
+                elapsed, outcome = in_fresh_interpreter(sampler, *args)
+                samples[w, layer].append(elapsed)
+                outcomes[w, layer].append(outcome)
+    layers = {}
+    for w, layer, calls, _, _ in series:
+        key = f"{w} {layer}"
+        outcome = outcomes[w, layer][0]
+        if any(o != outcome for o in outcomes[w, layer]):
+            sys.exit(f"{bench} {key}: the outcomes differ between interpreters")
+        if outcome.get("sha256", WORKLOADS[w].digest) != WORKLOADS[w].digest:
+            sys.exit(f"{bench} {key}: report differs from the recorded sha256")
+        stats = layers[key] = {**outcome, **summary(samples[w, layer], calls)}
+        print(f"{bench} {key}: median {stats['median_s']} s [{stats['q1_s']}-{stats['q3_s']}] "
+              f"over {calls} calls ({stats['per_call_us']} us per call), "
+              f"{REPEATS} fresh interpreters")
+    # a new file's header names each workload by its verify arguments
+    grids = {w: WORKLOADS[w].argv(1, "REPORT")[1:-4] for w, *_ in series}
+    append_run(ROOT / "bench" / f"BENCH_{bench}.json",
+               {"benchmark": f"{bench}_layer", "grids": grids},
+               {"repeats": REPEATS, "layers": layers})
+
+
+BENCHES = ("oracle", "syzygy", "witness", "route", "render", "verify")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("benches", nargs="*", metavar="BENCH",
+                        help=f"one of {', '.join(BENCHES)}; none runs all")
+    args = parser.parse_args(argv)
+    unknown = [b for b in args.benches if b not in BENCHES]
+    if unknown:
+        parser.error(f"unknown benchmark {unknown[0]!r}; choose from {', '.join(BENCHES)}")
+    for bench in args.benches or BENCHES:
+        run(bench)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

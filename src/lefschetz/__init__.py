@@ -8,18 +8,13 @@ integer arithmetic; all values are immutable and safe to share.
 """
 
 from .classifier import (
-    ConditionReport,
     base_p_digits,
     classify,
     delta_zero_criterion,
     manhattan_check,
     slp_step_check,
 )
-from .graded_quotient import (
-    MonomialCI,
-    hilbert_function,
-    mult_matrix,
-)
+from .graded_quotient import MonomialCI, mult_matrix
 from .lefschetz_oracle import (
     is_slp_oracle,
     is_wlp_oracle,
@@ -31,7 +26,6 @@ from .syzygy_gap import (
     RegionTag,
     SyzygyProfile,
     delta_value,
-    hilbert_series_identity,
     kernel_dimension,
     presentation_matrix,
     region,
@@ -43,7 +37,6 @@ from .verdict import KernelWitness, SlpVerdict
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditionReport",
     "KernelWitness",
     "MatrixGFp",
     "MonomialCI",
@@ -56,8 +49,6 @@ __all__ = [
     "classify",
     "delta_value",
     "delta_zero_criterion",
-    "hilbert_function",
-    "hilbert_series_identity",
     "is_slp_oracle",
     "is_wlp_oracle",
     "kernel_dimension",

@@ -21,7 +21,6 @@ All functions are pure; everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .prime_field import PrimeField
@@ -38,17 +37,6 @@ def base_p_digits(n: int, field: PrimeField) -> tuple[int, ...]:
         digits.append(n % p)
         n //= p
     return tuple(digits)
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Every violated (level, condition) pair of the per-level check."""
-
-    violations: tuple[tuple[int, int], ...]
-
-    @property
-    def satisfied(self) -> bool:
-        return not self.violations
 
 
 def _check_two_exponents(a: int, b: int) -> None:
@@ -91,14 +79,14 @@ def step_violations(field: PrimeField, a: int, b: int) -> Iterator[tuple[int, in
         level, step = level + 1, step * p
 
 
-def slp_step_check(field: PrimeField, a: int, b: int) -> ConditionReport:
-    """Evaluate the four per-level conditions for K[x,y]/(x^a, y^b).
+def slp_step_check(field: PrimeField, a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """Every violated (level, condition) pair of the per-level check for
+    K[x,y]/(x^a, y^b), in the order of :func:`step_violations`.
 
-    The report lists every violation of :func:`step_violations` in (level,
-    condition) order, and the algebra has the strong Lefschetz property
-    exactly when the report is clean.
+    The algebra has the strong Lefschetz property exactly when the tuple is
+    empty.
     """
-    return ConditionReport(tuple(step_violations(field, a, b)))
+    return tuple(step_violations(field, a, b))
 
 
 def _odd_sum_distance(point: tuple[int, ...], step: int) -> int:

@@ -157,7 +157,7 @@ def _cmd_check(args) -> int:
     word = "SLP" if has_slp else "no SLP"
     print(f"p={field.p} d=({dtext}): {word} ({condition})")
     if not has_slp and len(ds) == 2:
-        w = kernel_witness(MonomialCI(field, ds))
+        w = kernel_witness(field, *ds)
         e1, e2 = w.monomial
         print(
             f"witness: monomial x^{e1}*y^{e2}, power {w.power}, "
@@ -340,7 +340,7 @@ def _sweep_share(share) -> tuple[list[str], int, int]:
         elif verdicts[modes[0]]:
             slp += 1
         elif n == 2:
-            witness = _witness_dict(kernel_witness(MonomialCI(field, ds)))
+            witness = _witness_dict(kernel_witness(field, *ds))
         texts.append(entry(p, ds, verdicts, agree, witness))
     return texts, slp, disagreements
 

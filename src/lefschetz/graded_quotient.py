@@ -1,10 +1,9 @@
 """Monomial complete intersection algebras A = K[x1..xn]/(x1^d1, ..., xn^dn).
 
-Provides the algebra's presentation, its Hilbert function, and the matrices
-of multiplication by powers of the sum of the variables over GF(p). The sum
-of the variables is the only linear form this package ever tests: for
-monomial ideals it is a strong (weak) Lefschetz element whenever one
-exists, so nothing is lost.
+Provides the algebra's presentation and the matrices of multiplication by
+powers of the sum of the variables over GF(p). The sum of the variables is
+the only linear form this package ever tests: for monomial ideals it is a
+strong (weak) Lefschetz element whenever one exists, so nothing is lost.
 
 Monomials are exponent tuples ``(e1, ..., en)`` with ``0 <= ej < dj``. The
 rows and columns of a matrix follow the monomial basis of their degree in
@@ -53,26 +52,6 @@ class MonomialCI:
     def top_degree(self) -> int:
         """Largest degree with a nonzero graded piece: sum of (dj - 1)."""
         return sum(d - 1 for d in self.exponents)
-
-
-def hilbert_function(algebra: MonomialCI, degree: int) -> int:
-    """Dimension of the graded piece in the given degree."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    # Coefficients of prod_j (1 + x + ... + x^(dj - 1)). Multiplying by one
-    # factor replaces each coefficient by the sum of the last dj ones, kept
-    # as a running window sum: O(n * t) in all.
-    coeffs = [1]
-    for d in algebra.exponents:
-        padded = coeffs + [0] * (d - 1)
-        coeffs = []
-        window = 0
-        for k, c in enumerate(padded):
-            window += c
-            if k >= d:
-                window -= padded[k - d]
-            coeffs.append(window)
-    return coeffs[degree] if degree < len(coeffs) else 0
 
 
 def _prefixes(bounds: tuple[int, ...], total: int, width: int) -> list[tuple[ExponentVector, int]]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .classifier import step_violations
 from .graded_quotient import MonomialCI, mult_matrix
-from .prime_field import binomial_mod_p, rank
+from .prime_field import PrimeField, binomial_mod_p, rank
 from .verdict import KernelWitness, SlpVerdict
 
 __all__ = [
@@ -78,11 +78,11 @@ def is_wlp_oracle(algebra: MonomialCI) -> bool:
     return max_rank_in_every_degree(algebra, 1)
 
 
-def _verify_witness(algebra: MonomialCI, monomial: tuple[int, int], power: int) -> None:
+def _verify_witness(
+    field: PrimeField, d1: int, d2: int, monomial: tuple[int, int], power: int
+) -> None:
     # Defense in depth: a construction bug must surface as an error here,
     # never as a wrong report.
-    field = algebra.field
-    d1, d2 = algebra.exponents
     e1, e2 = monomial
     if e1 >= d1 or e2 >= d2:
         raise RuntimeError("witness construction produced a zero monomial")
@@ -102,8 +102,8 @@ def _verify_witness(algebra: MonomialCI, monomial: tuple[int, int], power: int) 
         raise RuntimeError("witness target piece is smaller than the source piece")
 
 
-def kernel_witness(algebra: MonomialCI) -> KernelWitness:
-    """Monomial kernel witness for a two-variable algebra without the SLP.
+def kernel_witness(field: PrimeField, a: int, b: int) -> KernelWitness:
+    """Monomial kernel witness for K[x,y]/(x^a, y^b) without the SLP.
 
     Scans levels upward for the first violated condition of the per-level
     check (ties broken in condition order 1, 2, 3, 4) and emits the matching
@@ -115,19 +115,14 @@ def kernel_witness(algebra: MonomialCI) -> KernelWitness:
       condition 4 -> 1,     power (m + n + 1) * p^i
 
     The witness is re-verified by direct expansion before being returned.
-    Raises ValueError if the algebra has the property or is not a
-    two-variable one.
+    Raises ValueError if the algebra has the property or an exponent is
+    below 2.
     """
-    if algebra.num_variables != 2:
-        raise ValueError("kernel witnesses are constructed for two variables only")
-    a, b = algebra.exponents
-    if a < 2 or b < 2:
-        raise ValueError("algebra has the strong Lefschetz property; no witness exists")
-    first = next(step_violations(algebra.field, a, b), None)
+    first = next(step_violations(field, a, b), None)
     if first is None:
         raise ValueError("algebra has the strong Lefschetz property; no witness exists")
     level, cond = first
-    step = algebra.field.p**level
+    step = field.p**level
     mq, r = divmod(a, step)
     nq, s = divmod(b, step)
     if cond == 1:
@@ -138,5 +133,5 @@ def kernel_witness(algebra: MonomialCI) -> KernelWitness:
         monomial, power = (r, s), (mq + nq - 1) * step
     else:
         monomial, power = (0, 0), (mq + nq + 1) * step
-    _verify_witness(algebra, monomial, power)
+    _verify_witness(field, a, b, monomial, power)
     return KernelWitness(monomial=monomial, power=power, target_degree=sum(monomial) + power)

@@ -77,25 +77,6 @@ class MatrixGFp:
                 f"got {len(self.columns)}"
             )
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "MatrixGFp":
-        """Matrix with the given dense rows; ``cols`` sizes a matrix without rows."""
-        rows = [tuple(r) for r in rows]
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            cols = 0
-        columns = tuple(
-            tuple((i, r[j]) for i, r in enumerate(rows) if r[j]) for j in range(cols)
-        )
-        return cls(len(rows), cols, columns)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        """Row ``i`` as a dense tuple."""
-        return tuple(dict(column).get(i, 0) for column in self.columns)
-
 
 def rank(matrix: MatrixGFp, field: PrimeField) -> int:
     """Exact rank of ``matrix`` over GF(p) by Gaussian elimination on columns.

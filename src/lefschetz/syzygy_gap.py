@@ -125,37 +125,6 @@ def region(d1: int, d2: int, d3: int) -> RegionTag:
     return RegionTag.OUTSIDE_L
 
 
-def hilbert_series_identity(field: PrimeField, d1: int, d2: int, d3: int) -> bool:
-    """Check the graded-resolution identity for R/(x^d1, y^d2, (x+y)^d3).
-
-    Computes the dimension of every graded piece directly as
-    (tau + 1) - rank of the degree-tau presentation map, and tests whether
-
-        (1 - t)^2 * HS(t)  ==  1 - t^d1 - t^d2 - t^d3 + t^alpha + t^beta
-
-    as exact integer polynomials.
-    """
-    _check_degrees(d1, d2, d3)
-    profile = syzygy_profile(field, d1, d2, d3)
-    top = d1 + d2 - 2
-    dims = []
-    for tau in range(top + 1):
-        matrix = presentation_matrix(field, d1, d2, d3, tau)
-        dims.append(tau + 1 - rank(matrix, field))
-    size = max(top + 3, d3 + 1, profile.beta + 1)
-    lhs = [0] * size
-    for i, c in enumerate([1, -2, 1]):
-        for j, h in enumerate(dims):
-            lhs[i + j] += c * h
-    rhs = [0] * size
-    rhs[0] += 1
-    for d in (d1, d2, d3):
-        rhs[d] -= 1
-    rhs[profile.alpha] += 1
-    rhs[profile.beta] += 1
-    return lhs == rhs
-
-
 def slp_via_delta(field: PrimeField, d1: int, d2: int) -> bool:
     """Strong Lefschetz property of K[x,y]/(x^d1, y^d2) through syzygy gaps.
 

@@ -11,11 +11,31 @@ from lefschetz import (
     binomial_mod_p,
     kernel_dimension,
     mult_matrix,
+    presentation_matrix,
     rank,
+    syzygy_profile,
 )
 from lefschetz.lefschetz_oracle import _candidate_powers
 
 SMALL_PRIMES = (2, 3, 5, 7)
+
+
+def matrix_from_rows(rows, cols: int | None = None) -> MatrixGFp:
+    """Matrix with the given dense rows; ``cols`` sizes a matrix without rows."""
+    rows = [tuple(r) for r in rows]
+    if rows:
+        cols = len(rows[0])
+        if any(len(r) != cols for r in rows):
+            raise ValueError("ragged rows")
+    elif cols is None:
+        cols = 0
+    columns = tuple(tuple((i, r[j]) for i, r in enumerate(rows) if r[j]) for j in range(cols))
+    return MatrixGFp(len(rows), cols, columns)
+
+
+def dense_row(matrix: MatrixGFp, i: int) -> tuple[int, ...]:
+    """Row ``i`` of ``matrix`` as a dense tuple."""
+    return tuple(dict(column).get(i, 0) for column in matrix.columns)
 
 
 def _permutation_sign(perm) -> int:
@@ -39,7 +59,7 @@ def det_mod(rows, p: int) -> int:
 
 def rank_by_minors(matrix: MatrixGFp, p: int) -> int:
     """Rank as the largest size of a nonsingular square submatrix."""
-    rows = [matrix.row(i) for i in range(matrix.rows)]
+    rows = [dense_row(matrix, i) for i in range(matrix.rows)]
     for k in range(min(matrix.rows, matrix.cols), 0, -1):
         for rsel in combinations(range(matrix.rows), k):
             for csel in combinations(range(matrix.cols), k):
@@ -186,15 +206,15 @@ def slp_oracle_over_every_degree(algebra) -> tuple[bool, int | None]:
 
 
 def transpose(matrix: MatrixGFp) -> MatrixGFp:
-    rows = [matrix.row(i) for i in range(matrix.rows)]
+    rows = [dense_row(matrix, i) for i in range(matrix.rows)]
     flipped = [tuple(r[j] for r in rows) for j in range(matrix.cols)]
-    return MatrixGFp.from_rows(flipped, cols=matrix.rows)
+    return matrix_from_rows(flipped, cols=matrix.rows)
 
 
 def matmul_mod(a: MatrixGFp, b: MatrixGFp, p: int) -> MatrixGFp:
     assert a.cols == b.rows
-    arows = [a.row(i) for i in range(a.rows)]
-    brows = [b.row(i) for i in range(b.rows)]
+    arows = [dense_row(a, i) for i in range(a.rows)]
+    brows = [dense_row(b, i) for i in range(b.rows)]
     out = []
     for i in range(a.rows):
         out.append(
@@ -203,7 +223,59 @@ def matmul_mod(a: MatrixGFp, b: MatrixGFp, p: int) -> MatrixGFp:
                 for j in range(b.cols)
             )
         )
-    return MatrixGFp.from_rows(out, cols=b.cols)
+    return matrix_from_rows(out, cols=b.cols)
+
+
+def hilbert_function(algebra, degree: int) -> int:
+    """Dimension of the graded piece in the given degree.
+
+    The coefficient of degree ``degree`` in prod_j (1 + x + ... + x^(dj - 1)).
+    Multiplying by one factor replaces each coefficient by the sum of the
+    last dj ones, kept as a running window sum: O(n * t) in all.
+    """
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    coeffs = [1]
+    for d in algebra.exponents:
+        padded = coeffs + [0] * (d - 1)
+        coeffs = []
+        window = 0
+        for k, c in enumerate(padded):
+            window += c
+            if k >= d:
+                window -= padded[k - d]
+            coeffs.append(window)
+    return coeffs[degree] if degree < len(coeffs) else 0
+
+
+def hilbert_series_identity(field, d1: int, d2: int, d3: int) -> bool:
+    """Check the graded-resolution identity for R/(x^d1, y^d2, (x+y)^d3).
+
+    Computes the dimension of every graded piece directly as
+    (tau + 1) - rank of the degree-tau presentation map, and tests whether
+
+        (1 - t)^2 * HS(t)  ==  1 - t^d1 - t^d2 - t^d3 + t^alpha + t^beta
+
+    as exact integer polynomials, alpha and beta from ``syzygy_profile``.
+    """
+    profile = syzygy_profile(field, d1, d2, d3)
+    top = d1 + d2 - 2
+    dims = []
+    for tau in range(top + 1):
+        matrix = presentation_matrix(field, d1, d2, d3, tau)
+        dims.append(tau + 1 - rank(matrix, field))
+    size = max(top + 3, d3 + 1, profile.beta + 1)
+    lhs = [0] * size
+    for i, c in enumerate([1, -2, 1]):
+        for j, h in enumerate(dims):
+            lhs[i + j] += c * h
+    rhs = [0] * size
+    rhs[0] += 1
+    for d in (d1, d2, d3):
+        rhs[d] -= 1
+    rhs[profile.alpha] += 1
+    rhs[profile.beta] += 1
+    return lhs == rhs
 
 
 def count_monomials(exponents, degree: int) -> int:
@@ -251,7 +323,7 @@ def mult_matrix_by_expansion(algebra, power: int, degree: int) -> MatrixGFp:
             steps = [t - e for t, e in zip(target, mono)]
             row.append(multinomial(steps) % algebra.field.p if min(steps) >= 0 else 0)
         rows.append(row)
-    return MatrixGFp.from_rows(rows, cols=len(src))
+    return matrix_from_rows(rows, cols=len(src))
 
 
 def power_times_monomial_is_zero(p: int, d1: int, d2: int, e1: int, e2: int, power: int) -> bool:

@@ -52,16 +52,14 @@ class TestDigits:
 
 class TestStepCheck:
     def test_satisfied_example(self):
-        assert slp_step_check(F3, 4, 4).satisfied
+        assert not slp_step_check(F3, 4, 4)
 
     def test_violation_on_unbalanced_pair(self):
-        report = slp_step_check(F3, 2, 9)
-        assert not report.satisfied
-        assert report.violations[0] == (1, 2)
+        violations = slp_step_check(F3, 2, 9)
+        assert violations and violations[0] == (1, 2)
 
     def test_violation_at_p2(self):
-        report = slp_step_check(F2, 2, 2)
-        assert report.violations == ((1, 3),)
+        assert slp_step_check(F2, 2, 2) == ((1, 3),)
 
     def test_exponent_bounds(self):
         with pytest.raises(ValueError):
@@ -77,7 +75,7 @@ class TestStepCheck:
                 for b in range(2, 30):
                     found = list(step_violations(field, a, b))
                     assert found == sorted(set(found))
-                    assert slp_step_check(field, a, b).violations == tuple(found)
+                    assert slp_step_check(field, a, b) == tuple(found)
 
 
 class TestOddSumDistance:
@@ -115,7 +113,7 @@ class TestManhattan:
             field = PrimeField(p)
             for a in range(2, 21):
                 for b in range(a, 21):
-                    assert manhattan_check(field, a, b) == slp_step_check(field, a, b).satisfied
+                    assert manhattan_check(field, a, b) == (not slp_step_check(field, a, b))
 
     def test_closed_form_matches_box_search(self):
         # both orders: the closed form reads |a - b|
@@ -136,7 +134,7 @@ class TestManhattan:
                     b = s - a
                     if a < 2 or b < 2:
                         continue
-                    expected = slp_step_check(field, a, b).satisfied
+                    expected = not slp_step_check(field, a, b)
                     assert manhattan_check(field, a, b) == expected, (p, a, b)
                     assert manhattan_check(field, b, a) == expected, (p, b, a)
 
@@ -147,7 +145,7 @@ class TestManhattan:
                 2 * p - 1, 2 * p + 1]
         for a in near:
             for b in near:
-                expected = slp_step_check(field, a, b).satisfied
+                expected = not slp_step_check(field, a, b)
                 assert manhattan_check(field, a, b) == expected, (a, b)
 
 

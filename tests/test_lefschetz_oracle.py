@@ -186,29 +186,25 @@ class TestWlpOracle:
 
 class TestKernelWitness:
     def test_char_two_square(self):
-        w = kernel_witness(MonomialCI(F2, (2, 2)))
+        w = kernel_witness(F2, 2, 2)
         assert w.monomial == (0, 0) and w.power == 2 and w.target_degree == 2
 
     def test_unbalanced_pair(self):
-        w = kernel_witness(MonomialCI(F3, (2, 9)))
+        w = kernel_witness(F3, 2, 9)
         assert w.monomial == (0, 0) and w.power == 9
 
     def test_slp_algebra_has_no_witness(self):
         with pytest.raises(ValueError, match="no witness"):
-            kernel_witness(MonomialCI(PrimeField(5), (7, 7)))
-
-    def test_two_variables_only(self):
-        with pytest.raises(ValueError, match="two variables"):
-            kernel_witness(MonomialCI(F2, (2, 2, 2)))
+            kernel_witness(PrimeField(5), 7, 7)
 
     def test_witnesses_verify_independently(self):
         for p in (2, 3, 5):
             field = PrimeField(p)
             for a in range(2, 16):
                 for b in range(a, 16):
-                    if slp_step_check(field, a, b).satisfied:
+                    if not slp_step_check(field, a, b):
                         continue
-                    w = kernel_witness(MonomialCI(field, (a, b)))
+                    w = kernel_witness(field, a, b)
                     e1, e2 = w.monomial
                     assert e1 < a and e2 < b
                     assert power_times_monomial_is_zero(p, a, b, e1, e2, w.power)
@@ -220,15 +216,15 @@ class TestKernelWitness:
     def test_tie_break_takes_lowest_condition(self):
         # a=5, b=7 over GF(5) violates conditions 1 and 3 at level one;
         # the fixed order picks condition 1: monomial x^0, power (1+1)*5
-        report = slp_step_check(PrimeField(5), 5, 7)
-        assert report.violations[0] == (1, 1) and (1, 3) in report.violations
-        w = kernel_witness(MonomialCI(PrimeField(5), (5, 7)))
+        violations = slp_step_check(PrimeField(5), 5, 7)
+        assert violations[0] == (1, 1) and (1, 3) in violations
+        w = kernel_witness(PrimeField(5), 5, 7)
         assert w.monomial == (0, 0) and w.power == 10
 
     def test_witness_power_fails_the_oracle(self):
         for p, pair in [(2, (2, 2)), (2, (4, 5)), (3, (2, 9)), (5, (5, 5))]:
             algebra = MonomialCI(PrimeField(p), pair)
-            w = kernel_witness(algebra)
+            w = kernel_witness(algebra.field, *pair)
             assert not max_rank_in_every_degree(algebra, w.power)
 
 
@@ -250,13 +246,12 @@ class TestVerifyWitness:
     )
     def test_forged_witness_is_rejected(self, p, d, monomial, power, message):
         with pytest.raises(RuntimeError, match=message):
-            lefschetz_oracle._verify_witness(MonomialCI(PrimeField(p), d), monomial, power)
+            lefschetz_oracle._verify_witness(PrimeField(p), *d, monomial, power)
 
     def test_surviving_term_error_matches_direct_expansion(self):
         for p in (2, 3, 5):
             field = PrimeField(p)
             for d1, d2 in product(range(1, 6), repeat=2):
-                algebra = MonomialCI(field, (d1, d2))
                 for e1, e2 in product(range(d1), range(d2)):
                     for power in range(1, d1 + d2 + 1):
                         # every outcome: a surviving term first, then the
@@ -270,7 +265,7 @@ class TestVerifyWitness:
                         else:
                             expected = None
                         try:
-                            lefschetz_oracle._verify_witness(algebra, (e1, e2), power)
+                            lefschetz_oracle._verify_witness(field, d1, d2, (e1, e2), power)
                             error = ""
                         except RuntimeError as exc:
                             error = str(exc)

@@ -9,14 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_PRIMES, presentation_matrix_by_lookup, syzygy_profile_scan
+from conftest import (
+    SMALL_PRIMES,
+    hilbert_series_identity,
+    presentation_matrix_by_lookup,
+    syzygy_profile_scan,
+)
 from lefschetz import (
     MonomialCI,
     PrimeField,
     RegionTag,
     delta_value,
     delta_zero_criterion,
-    hilbert_series_identity,
     kernel_dimension,
     max_rank_in_every_degree,
     presentation_matrix,
