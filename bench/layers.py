@@ -89,9 +89,7 @@ def _calls(lz, route: str, workload: str) -> list[tuple]:
     # The arguments ``verify`` passes to the route (or to kernel_witness),
     # one tuple per algebra of the workload, in grid order.
     fields = {p: lz.PrimeField(p) for p in WORKLOADS[workload].primes}
-    if route == "is_slp_oracle":
-        return [(lz.MonomialCI(fields[p], ds),) for p, ds in WORKLOADS[workload].grid()]
-    if route == "classify":
+    if route in ("classify", "is_slp_oracle"):
         return [(fields[p], ds) for p, ds in WORKLOADS[workload].grid()]
     return [(fields[p], *ds) for p, ds in WORKLOADS[workload].grid()]
 
@@ -126,8 +124,8 @@ def _time_builds(matrix_fn: str, builds: list[tuple], rank_them: bool) -> tuple[
     lz = import_lefschetz()
     build = getattr(lz, matrix_fn)
     if rank_them:
-        # the first argument is the algebra (with its field) or the field
-        matrices = [(build(*args), getattr(args[0], "field", args[0])) for args in builds]
+        # the first argument is the field
+        matrices = [(build(*args), args[0]) for args in builds]
         started = time.perf_counter()
         for matrix, field in matrices:
             lz.rank(matrix, field)

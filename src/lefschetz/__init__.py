@@ -14,7 +14,7 @@ from .classifier import (
     manhattan_check,
     slp_step_check,
 )
-from .graded_quotient import MonomialCI, mult_matrix
+from .graded_quotient import mult_matrix
 from .lefschetz_oracle import (
     is_slp_oracle,
     is_wlp_oracle,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "KernelWitness",
     "MatrixGFp",
-    "MonomialCI",
     "PrimeField",
     "RegionTag",
     "SlpVerdict",

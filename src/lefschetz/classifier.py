@@ -262,8 +262,8 @@ def classify(field: PrimeField, ds) -> SlpVerdict:
     else:
         number, tag = _n_ge_3_case(field, ds)
     if number is None:
-        return SlpVerdict(False, "classification", condition=f"no condition satisfied ({tag})")
-    return SlpVerdict(True, "classification", condition=f"condition {number}: {tag}")
+        return SlpVerdict(False, condition=f"no condition satisfied ({tag})")
+    return SlpVerdict(True, condition=f"condition {number}: {tag}")
 
 
 def delta_zero_criterion(field: PrimeField, d1: int, d2: int, d3: int) -> bool:

@@ -29,7 +29,6 @@ import time
 from math import comb
 
 from .classifier import classify, manhattan_check
-from .graded_quotient import MonomialCI
 from .lefschetz_oracle import is_slp_oracle, is_wlp_oracle, kernel_witness
 from .prime_field import PrimeField
 from .syzygy_gap import region, slp_via_delta, syzygy_profile
@@ -100,7 +99,7 @@ def _field(p: int) -> PrimeField:
 
 def _mode_verdict(mode: str, field: PrimeField, ds: tuple[int, ...]) -> bool:
     if mode == "oracle":
-        return is_slp_oracle(MonomialCI(field, ds)).has_slp
+        return is_slp_oracle(field, ds).has_slp
     if mode == "digits":
         return classify(field, ds).has_slp
     if mode == "manhattan":
@@ -143,17 +142,17 @@ def _cmd_check(args) -> int:
     else:
         modes = [args.mode]
     _check_modes(modes, len(ds))
-    verdicts = {m: _mode_verdict(m, field, ds) for m in modes}
+    # digits is decided once: its verdict also gives the printed condition
+    digits = classify(field, ds) if "digits" in modes else None
+    verdicts = {m: digits.has_slp if m == "digits" else _mode_verdict(m, field, ds)
+                for m in modes}
     if len(set(verdicts.values())) > 1:
         detail = ", ".join(f"{m}={v}" for m, v in verdicts.items())
         print(f"internal disagreement between decision routes: {detail}", file=sys.stderr)
         return 2
     has_slp = next(iter(verdicts.values()))
     dtext = ",".join(str(d) for d in ds)
-    if "digits" in verdicts:
-        condition = classify(field, ds).condition
-    else:
-        condition = "via " + "/".join(modes)
+    condition = digits.condition if digits else "via " + "/".join(modes)
     word = "SLP" if has_slp else "no SLP"
     print(f"p={field.p} d=({dtext}): {word} ({condition})")
     if not has_slp and len(ds) == 2:
@@ -183,8 +182,7 @@ def _cmd_wlp(args) -> int:
     field = _field(args.p)
     ds = _parse_int_list(args.d, "exponent list")
     try:
-        algebra = MonomialCI(field, ds)
-        has_wlp = is_wlp_oracle(algebra)
+        has_wlp = is_wlp_oracle(field, ds)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     dtext = ",".join(str(d) for d in ds)

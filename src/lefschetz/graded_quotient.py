@@ -1,7 +1,8 @@
 """Monomial complete intersection algebras A = K[x1..xn]/(x1^d1, ..., xn^dn).
 
-Provides the algebra's presentation and the matrices of multiplication by
-powers of the sum of the variables over GF(p). The sum of the variables is
+An algebra is given by its prime field and its exponents (d1, ..., dn).
+Provides its top degree and the matrices of multiplication by powers of
+the sum of the variables over GF(p). The sum of the variables is
 the only linear form this package ever tests: for monomial ideals it is a
 strong (weak) Lefschetz element whenever one exists, so nothing is lost.
 
@@ -17,7 +18,6 @@ alone, and the last two variables cost one window of binomials per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, itemgetter
 
 from .prime_field import MatrixGFp, PrimeField, binomial_mod_p
@@ -25,33 +25,18 @@ from .prime_field import MatrixGFp, PrimeField, binomial_mod_p
 ExponentVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MonomialCI:
-    """Presentation (p; d1, ..., dn) of K[x1..xn]/(x1^d1, ..., xn^dn).
+def top_degree(exponents: ExponentVector) -> int:
+    """Largest degree with a nonzero graded piece: the sum of (dj - 1).
 
-    Exponents must be at least 1 (dj = 1 kills the variable outright, which
-    is needed when pairing rank checks with syzygy-gap sweeps).
+    Raises ValueError for no exponents or an exponent below 1. An exponent
+    of 1 is allowed: it kills its variable outright, which is needed when
+    pairing rank checks with syzygy-gap sweeps.
     """
-
-    field: PrimeField
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        exps = tuple(int(d) for d in self.exponents)
-        object.__setattr__(self, "exponents", exps)
-        if not exps:
-            raise ValueError("need at least one variable")
-        if any(d < 1 for d in exps):
-            raise ValueError("exponents must be at least 1")
-
-    @property
-    def num_variables(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def top_degree(self) -> int:
-        """Largest degree with a nonzero graded piece: sum of (dj - 1)."""
-        return sum(d - 1 for d in self.exponents)
+    if not exponents:
+        raise ValueError("need at least one variable")
+    if min(exponents) < 1:
+        raise ValueError("exponents must be at least 1")
+    return sum(exponents) - len(exponents)
 
 
 def _prefixes(bounds: tuple[int, ...], total: int, width: int) -> list[tuple[ExponentVector, int]]:
@@ -72,8 +57,11 @@ def _prefixes(bounds: tuple[int, ...], total: int, width: int) -> list[tuple[Exp
     return [(prefix, rest) for prefix, rest in out if rest <= width]
 
 
-def mult_matrix(algebra: MonomialCI, power: int, degree: int) -> MatrixGFp:
-    """Matrix of multiplication by (x1 + ... + xn)^power on the degree piece.
+def mult_matrix(
+    field: PrimeField, exponents: ExponentVector, power: int, degree: int
+) -> MatrixGFp:
+    """Matrix of multiplication by (x1 + ... + xn)^power on the degree piece
+    of K[x1..xn]/(x1^d1, ..., xn^dn) over ``field``, ``exponents`` = (d1, ..., dn).
 
     Columns are indexed by the basis of the source degree, rows by the basis
     of the target degree; degenerate (zero-row or zero-column) shapes are
@@ -97,15 +85,12 @@ def mult_matrix(algebra: MonomialCI, power: int, degree: int) -> MatrixGFp:
         raise ValueError("power must be at least 1")
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    exps = algebra.exponents
-    if len(exps) == 1:
-        # x^power * x^degree: one target row at most, coefficient 1.
-        cols = int(degree < exps[0])
-        rows = int(degree + power < exps[0])
-        return MatrixGFp(rows, cols, (((0, 1),) * rows,) * cols)
-    field = algebra.field
+    top_degree(exponents)  # refuses what no algebra has
+    if len(exponents) == 1:
+        # built as (d, 1): a variable with exponent 1 changes no graded piece
+        exponents = (*exponents, 1)
+    head, (da, db) = exponents[:-2], exponents[-2:]
     p = field.p
-    head, (da, db) = exps[:-2], exps[-2:]
     width = da + db - 2  # the top degree of the last two variables
     # target prefix -> first row of its block + the largest e(n-1) in it, so
     # x(n-1)^e x(n)^(rest - e) with that prefix sits on row block[prefix] - e.

@@ -25,7 +25,7 @@ before it is returned.
 from __future__ import annotations
 
 from .classifier import step_violations
-from .graded_quotient import MonomialCI, mult_matrix
+from .graded_quotient import mult_matrix, top_degree
 from .prime_field import PrimeField, binomial_mod_p, rank
 from .verdict import KernelWitness, SlpVerdict
 
@@ -39,43 +39,43 @@ __all__ = [
 ]
 
 
-def max_rank_in_every_degree(algebra: MonomialCI, power: int) -> bool:
+def max_rank_in_every_degree(field: PrimeField, exponents: tuple[int, ...], power: int) -> bool:
     """Whether multiplication by (x1 + ... + xn)^power has maximal rank
-    in every degree, decided by injectivity on the central degree
-    (t - power)//2."""
+    in every degree of K[x1..xn]/(x1^d1, ..., xn^dn), decided by
+    injectivity on the central degree (t - power)//2."""
+    t = top_degree(exponents)
     if power < 1:
         raise ValueError("power must be at least 1")
-    t = algebra.top_degree
     if power > t:
         return True
-    matrix = mult_matrix(algebra, power, (t - power) // 2)
-    return rank(matrix, algebra.field) == matrix.cols
+    matrix = mult_matrix(field, exponents, power, (t - power) // 2)
+    return rank(matrix, field) == matrix.cols
 
 
-def _candidate_powers(algebra: MonomialCI) -> list[int]:
-    t = algebra.top_degree
-    if algebra.num_variables == 2:
-        a, b = algebra.exponents
+def _candidate_powers(exponents: tuple[int, ...]) -> list[int]:
+    t = top_degree(exponents)
+    if len(exponents) == 2:
+        a, b = exponents
         return [a + b - 2 * c for c in range(1, min(a, b))]
     return list(range(t, 0, -2))
 
 
-def is_slp_oracle(algebra: MonomialCI) -> SlpVerdict:
+def is_slp_oracle(field: PrimeField, exponents: tuple[int, ...]) -> SlpVerdict:
     """Decide the strong Lefschetz property by rank computations.
 
     Powers m are checked in descending order over the reduced candidate set,
     each on the one square map A_i -> A_(t-i) with i = (t - m)/2; the first
     failure is recorded on the verdict.
     """
-    for power in _candidate_powers(algebra):
-        if not max_rank_in_every_degree(algebra, power):
-            return SlpVerdict(False, "oracle", failing_exponent=power)
-    return SlpVerdict(True, "oracle")
+    for power in _candidate_powers(exponents):
+        if not max_rank_in_every_degree(field, exponents, power):
+            return SlpVerdict(False, failing_exponent=power)
+    return SlpVerdict(True)
 
 
-def is_wlp_oracle(algebra: MonomialCI) -> bool:
+def is_wlp_oracle(field: PrimeField, exponents: tuple[int, ...]) -> bool:
     """Decide the weak Lefschetz property: maximal rank for the first power."""
-    return max_rank_in_every_degree(algebra, 1)
+    return max_rank_in_every_degree(field, exponents, 1)
 
 
 def _verify_witness(

@@ -28,20 +28,16 @@ class KernelWitness:
 class SlpVerdict:
     """Outcome of a strong-Lefschetz decision.
 
-    ``method`` records the route taken ("oracle" for exact rank computation,
-    "classification" for the closed-form criteria). A failing verdict from
-    the oracle carries the first power whose multiplication map misses
-    maximal rank; classification verdicts carry a human-readable condition
-    tag instead. A positive verdict never carries failure evidence.
+    A failing verdict from the rank oracle carries the first power whose
+    multiplication map misses maximal rank; verdicts of the closed-form
+    classification carry a human-readable condition tag instead. A positive
+    verdict never carries failure evidence.
     """
 
     has_slp: bool
-    method: str
     failing_exponent: int | None = None
     condition: str | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("oracle", "classification"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.has_slp and self.failing_exponent is not None:
             raise ValueError("a positive verdict cannot carry failure evidence")

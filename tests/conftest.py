@@ -15,6 +15,7 @@ from lefschetz import (
     rank,
     syzygy_profile,
 )
+from lefschetz.graded_quotient import top_degree
 from lefschetz.lefschetz_oracle import _candidate_powers
 
 SMALL_PRIMES = (2, 3, 5, 7)
@@ -180,27 +181,27 @@ def syzygy_profile_scan(field, d1: int, d2: int, d3: int) -> SyzygyProfile:
     )
 
 
-def max_rank_by_definition(algebra, power: int) -> bool:
+def max_rank_by_definition(field, exponents, power: int) -> bool:
     """Maximal rank of (x1 + ... + xn)^power, checked in every degree 0..t.
 
     No symmetry or socle argument: each degree's map must have rank equal
     to the smaller of its source and target dimensions.
     """
-    for degree in range(algebra.top_degree + 1):
-        matrix = mult_matrix(algebra, power, degree)
-        if rank(matrix, algebra.field) != min(matrix.rows, matrix.cols):
+    for degree in range(top_degree(exponents) + 1):
+        matrix = mult_matrix(field, exponents, power, degree)
+        if rank(matrix, field) != min(matrix.rows, matrix.cols):
             return False
     return True
 
 
-def slp_oracle_over_every_degree(algebra) -> tuple[bool, int | None]:
+def slp_oracle_over_every_degree(field, exponents) -> tuple[bool, int | None]:
     """The oracle with every degree checked for each candidate power.
 
     Returns ``(has_slp, failing_exponent)``: the candidate powers in
     descending order, each tested by ``max_rank_by_definition``.
     """
-    for power in _candidate_powers(algebra):
-        if not max_rank_by_definition(algebra, power):
+    for power in _candidate_powers(exponents):
+        if not max_rank_by_definition(field, exponents, power):
             return False, power
     return True, None
 
@@ -226,7 +227,7 @@ def matmul_mod(a: MatrixGFp, b: MatrixGFp, p: int) -> MatrixGFp:
     return matrix_from_rows(out, cols=b.cols)
 
 
-def hilbert_function(algebra, degree: int) -> int:
+def hilbert_function(exponents, degree: int) -> int:
     """Dimension of the graded piece in the given degree.
 
     The coefficient of degree ``degree`` in prod_j (1 + x + ... + x^(dj - 1)).
@@ -236,7 +237,7 @@ def hilbert_function(algebra, degree: int) -> int:
     if degree < 0:
         raise ValueError("degree must be non-negative")
     coeffs = [1]
-    for d in algebra.exponents:
+    for d in exponents:
         padded = coeffs + [0] * (d - 1)
         coeffs = []
         window = 0
@@ -300,13 +301,12 @@ def basis(exponents, degree: int) -> list[tuple[int, ...]]:
     )
 
 
-def mult_matrix_by_expansion(algebra, power: int, degree: int) -> MatrixGFp:
+def mult_matrix_by_expansion(field, exps, power: int, degree: int) -> MatrixGFp:
     """Dense matrix of multiplication by (x1 + ... + xn)^power on a degree piece.
 
     Independent of the library's build: bases from ``basis``, entries as
     integer multinomial coefficients from ``math.comb`` reduced mod p.
     """
-    exps = algebra.exponents
 
     def multinomial(steps):
         out, total = 1, 0
@@ -321,7 +321,7 @@ def mult_matrix_by_expansion(algebra, power: int, degree: int) -> MatrixGFp:
         row = []
         for mono in src:
             steps = [t - e for t, e in zip(target, mono)]
-            row.append(multinomial(steps) % algebra.field.p if min(steps) >= 0 else 0)
+            row.append(multinomial(steps) % field.p if min(steps) >= 0 else 0)
         rows.append(row)
     return matrix_from_rows(rows, cols=len(src))
 

@@ -16,7 +16,6 @@ from conftest import (
     syzygy_profile_scan,
 )
 from lefschetz import (
-    MonomialCI,
     PrimeField,
     RegionTag,
     classify,
@@ -58,7 +57,7 @@ def test_c1_two_variable_four_way_equivalence():
     for field in FIELDS_4:
         for a, b in pairs(2, 40):
             votes = (
-                is_slp_oracle(MonomialCI(field, (a, b))).has_slp,
+                is_slp_oracle(field, (a, b)).has_slp,
                 not slp_step_check(field, a, b),
                 manhattan_check(field, a, b),
                 classify(field, (a, b)).has_slp,
@@ -91,7 +90,7 @@ def test_c3_gap_bounds_maximal_rank():
         for d1, d2, d3 in admissible_triples(60):
             count += 1
             small_gap = delta_value(field, d1, d2, d3) <= 1
-            maximal = max_rank_in_every_degree(MonomialCI(field, (d1, d2)), d3)
+            maximal = max_rank_in_every_degree(field, (d1, d2), d3)
             if small_gap != maximal:
                 mismatches.append((field.p, d1, d2, d3, small_gap, maximal))
     assert not mismatches, f"rank link disagreement: {mismatches[:10]}"
@@ -166,7 +165,7 @@ def test_c6_three_variable_classification():
                 for d3 in range(2, 7):
                     count += 1
                     closed = classify(field, (d1, d2, d3)).has_slp
-                    oracle = is_slp_oracle(MonomialCI(field, (d1, d2, d3))).has_slp
+                    oracle = is_slp_oracle(field, (d1, d2, d3)).has_slp
                     if closed != oracle:
                         mismatches.append((field.p, d1, d2, d3, closed, oracle))
     assert count == 3 * 125
@@ -210,7 +209,7 @@ def test_c8_large_characteristic_sanity():
         ds = tuple(rng.randint(2, 8) for _ in range(n))
         t = sum(d - 1 for d in ds)
         p = rng.choice([q for q in primes if q > t])
-        if not is_slp_oracle(MonomialCI(PrimeField(p), ds)).has_slp:
+        if not is_slp_oracle(PrimeField(p), ds).has_slp:
             failures.append((p, ds))
     assert not failures, f"large characteristic failures: {failures}"
     print("ACCEPTANCE C8 (50 random tuples with p above the top degree): PASS")

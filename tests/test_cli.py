@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import lefschetz
-from lefschetz import cli, prime_field
+from lefschetz import classify, cli, prime_field
 from lefschetz.cli import main
 
 
@@ -71,6 +71,19 @@ class TestCheck:
     def test_single_mode(self, capsys):
         code, out, _ = run_cli(["check", "--p", "3", "--d", "2,2", "--mode", "oracle"], capsys)
         assert code == 0 and "SLP" in out
+
+    def test_digits_decided_once(self, monkeypatch, capsys):
+        # the printed condition comes from the verdict the route check made
+        calls = []
+
+        def counting(field, ds):
+            calls.append(ds)
+            return classify(field, ds)
+
+        monkeypatch.setattr(cli, "classify", counting)
+        code, out, _ = run_cli(["check", "--p", "3", "--d", "4,4"], capsys)
+        assert code == 0 and "condition 3" in out
+        assert calls == [(4, 4)]
 
     def test_two_variable_mode_rejected_for_three(self, capsys):
         code, _, err = run_cli(

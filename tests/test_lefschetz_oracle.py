@@ -14,8 +14,8 @@ from conftest import (
     slp_oracle_over_every_degree,
 )
 from lefschetz import (
-    MonomialCI,
     PrimeField,
+    SlpVerdict,
     is_slp_oracle,
     is_wlp_oracle,
     kernel_witness,
@@ -24,6 +24,7 @@ from lefschetz import (
     rank,
     slp_step_check,
 )
+from lefschetz.graded_quotient import top_degree
 from lefschetz.lefschetz_oracle import _candidate_powers
 from lefschetz.prime_field import MAX_CHARACTERISTIC
 
@@ -31,23 +32,23 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 
 
-def full_slp_check(algebra) -> bool:
+def full_slp_check(field, exponents) -> bool:
     """Unreduced oracle: test every power from 1 to the top degree in every degree."""
-    return all(max_rank_by_definition(algebra, m) for m in range(1, algebra.top_degree + 1))
+    return all(max_rank_by_definition(field, exponents, m)
+               for m in range(1, top_degree(exponents) + 1))
 
 
 class TestMaxRank:
     def test_examples(self):
-        assert max_rank_in_every_degree(MonomialCI(F3, (2, 2)), 2)
-        assert not max_rank_in_every_degree(MonomialCI(F2, (2, 2)), 2)
+        assert max_rank_in_every_degree(F3, (2, 2), 2)
+        assert not max_rank_in_every_degree(F2, (2, 2), 2)
 
     def test_power_above_top_degree_is_vacuous(self):
-        a = MonomialCI(F2, (2, 2))
-        assert max_rank_in_every_degree(a, a.top_degree + 1)
+        assert max_rank_in_every_degree(F2, (2, 2), top_degree((2, 2)) + 1)
 
     def test_power_validation(self):
         with pytest.raises(ValueError):
-            max_rank_in_every_degree(MonomialCI(F2, (2, 2)), 0)
+            max_rank_in_every_degree(F2, (2, 2), 0)
 
     def test_central_degree_decides_every_degree(self):
         exponent_tuples = [
@@ -58,47 +59,50 @@ class TestMaxRank:
         for p in (2, 3, 5, 7):
             field = PrimeField(p)
             for ds in exponent_tuples:
-                algebra = MonomialCI(field, ds)
-                for power in range(1, algebra.top_degree + 2):
-                    assert max_rank_in_every_degree(algebra, power) == max_rank_by_definition(
-                        algebra, power
+                for power in range(1, top_degree(ds) + 2):
+                    assert max_rank_in_every_degree(field, ds, power) == max_rank_by_definition(
+                        field, ds, power
                     ), (p, ds, power)
 
 
 class TestSlpOracle:
     def test_examples(self):
-        assert is_slp_oracle(MonomialCI(F3, (2, 2))).has_slp
-        v = is_slp_oracle(MonomialCI(F2, (2, 2)))
-        assert not v.has_slp and v.failing_exponent == 2 and v.method == "oracle"
-        assert is_slp_oracle(MonomialCI(PrimeField(7), (2, 2, 2))).has_slp
+        assert is_slp_oracle(F3, (2, 2)).has_slp
+        v = is_slp_oracle(F2, (2, 2))
+        assert not v.has_slp and v.failing_exponent == 2
+        assert is_slp_oracle(PrimeField(7), (2, 2, 2)).has_slp
+
+    def test_positive_verdict_carries_no_failing_power(self):
+        with pytest.raises(ValueError, match="failure evidence"):
+            SlpVerdict(True, failing_exponent=3)
 
     def test_first_failing_power_is_reported(self):
         # candidate powers descend from a+b-2; for (4,5) over GF(2) the top
         # power still has maximal rank and the failure first shows at 5
-        v = is_slp_oracle(MonomialCI(F2, (4, 5)))
+        v = is_slp_oracle(F2, (4, 5))
         assert not v.has_slp and v.failing_exponent == 5
 
     def test_single_variable_is_trivial(self):
         for d in (1, 2, 5, 9):
-            assert is_slp_oracle(MonomialCI(F2, (d,))).has_slp
+            assert is_slp_oracle(F2, (d,)).has_slp
 
     def test_exponent_one_reduces_to_fewer_variables(self):
-        assert is_slp_oracle(MonomialCI(F2, (1, 4))).has_slp
+        assert is_slp_oracle(F2, (1, 4)).has_slp
 
     def test_reduced_checks_match_full_sweep_two_variables(self):
         for p in (2, 3, 5):
             field = PrimeField(p)
             for a in range(2, 13):
                 for b in range(a, 13):
-                    algebra = MonomialCI(field, (a, b))
-                    assert is_slp_oracle(algebra).has_slp == full_slp_check(algebra), (p, a, b)
+                    assert is_slp_oracle(field, (a, b)).has_slp == full_slp_check(
+                        field, (a, b)
+                    ), (p, a, b)
 
     def test_reduced_checks_match_full_sweep_three_variables(self):
         for p in (2, 3):
             field = PrimeField(p)
             for ds in [(2, 2, 2), (2, 2, 3), (2, 3, 4), (3, 3, 3), (2, 2, 5)]:
-                algebra = MonomialCI(field, ds)
-                assert is_slp_oracle(algebra).has_slp == full_slp_check(algebra), (p, ds)
+                assert is_slp_oracle(field, ds).has_slp == full_slp_check(field, ds), (p, ds)
 
     @pytest.mark.parametrize(
         "primes, exponent_tuples",
@@ -116,10 +120,9 @@ class TestSlpOracle:
         for p in primes:
             field = PrimeField(p)
             for ds in exponent_tuples:
-                algebra = MonomialCI(field, ds)
-                v = is_slp_oracle(algebra)
+                v = is_slp_oracle(field, ds)
                 assert (v.has_slp, v.failing_exponent) == slp_oracle_over_every_degree(
-                    algebra
+                    field, ds
                 ), (p, ds)
 
     def test_one_rank_per_tested_power(self, monkeypatch):
@@ -130,19 +133,19 @@ class TestSlpOracle:
             return rank(matrix, field)
 
         monkeypatch.setattr(lefschetz_oracle, "rank", counting_rank)
-        algebra = MonomialCI(PrimeField(31), (5, 6, 7))
-        assert is_slp_oracle(algebra).has_slp
-        assert len(calls) == len(_candidate_powers(algebra)) == 8
+        f31, ds = PrimeField(31), (5, 6, 7)
+        assert is_slp_oracle(f31, ds).has_slp
+        assert len(calls) == len(_candidate_powers(ds)) == 8
         # every tested map is square: A_i -> A_(t-i)
         assert all(rows == cols for rows, cols in calls)
 
         calls.clear()
-        v = is_slp_oracle(MonomialCI(F2, (4, 5)))
+        v = is_slp_oracle(F2, (4, 5))
         assert v.failing_exponent == 5 and len(calls) == 2
 
         # the WLP is the first power alone, on its central degree
         calls.clear()
-        assert is_wlp_oracle(algebra)
+        assert is_wlp_oracle(f31, ds)
         assert len(calls) == 1
 
     def test_slp_implies_wlp_on_sweep(self):
@@ -150,9 +153,8 @@ class TestSlpOracle:
             field = PrimeField(p)
             for a in range(2, 13):
                 for b in range(a, 13):
-                    algebra = MonomialCI(field, (a, b))
-                    if is_slp_oracle(algebra).has_slp:
-                        assert is_wlp_oracle(algebra), (p, a, b)
+                    if is_slp_oracle(field, (a, b)).has_slp:
+                        assert is_wlp_oracle(field, (a, b)), (p, a, b)
 
     def test_large_characteristic_always_works(self):
         rng = random.Random(11)
@@ -161,27 +163,26 @@ class TestSlpOracle:
             ds = tuple(rng.randint(2, 6) for _ in range(n))
             t = sum(d - 1 for d in ds)
             p = next(q for q in (17, 19, 23, 29, 31) if q > t)
-            algebra = MonomialCI(PrimeField(p), ds)
-            assert is_slp_oracle(algebra).has_slp
-            assert is_wlp_oracle(algebra)
+            assert is_slp_oracle(PrimeField(p), ds).has_slp
+            assert is_wlp_oracle(PrimeField(p), ds)
 
     @pytest.mark.parametrize("ds", [(40, 41), (5, 6, 7), (3, 3, 3, 3)])
     def test_maximal_characteristic_always_works(self, ds):
         # t < p, so the property holds; the entries are binomials reduced mod p
-        algebra = MonomialCI(PrimeField(MAX_CHARACTERISTIC), ds)
-        assert is_slp_oracle(algebra).has_slp
-        assert is_wlp_oracle(algebra)
+        field = PrimeField(MAX_CHARACTERISTIC)
+        assert is_slp_oracle(field, ds).has_slp
+        assert is_wlp_oracle(field, ds)
 
 
 class TestWlpOracle:
     def test_examples(self):
-        assert is_wlp_oracle(MonomialCI(F2, (2, 3)))
-        assert is_wlp_oracle(MonomialCI(F2, (2, 2)))
+        assert is_wlp_oracle(F2, (2, 3))
+        assert is_wlp_oracle(F2, (2, 2))
 
     def test_wlp_can_fail(self):
         # three squares in characteristic two: x+y+z squares to zero,
         # and already the first power misses maximal rank
-        assert not is_wlp_oracle(MonomialCI(F2, (2, 2, 2)))
+        assert not is_wlp_oracle(F2, (2, 2, 2))
 
 
 class TestKernelWitness:
@@ -223,9 +224,8 @@ class TestKernelWitness:
 
     def test_witness_power_fails_the_oracle(self):
         for p, pair in [(2, (2, 2)), (2, (4, 5)), (3, (2, 9)), (5, (5, 5))]:
-            algebra = MonomialCI(PrimeField(p), pair)
-            w = kernel_witness(algebra.field, *pair)
-            assert not max_rank_in_every_degree(algebra, w.power)
+            w = kernel_witness(PrimeField(p), *pair)
+            assert not max_rank_in_every_degree(PrimeField(p), pair, w.power)
 
 
 class TestVerifyWitness:

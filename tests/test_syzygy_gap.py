@@ -16,7 +16,6 @@ from conftest import (
     syzygy_profile_scan,
 )
 from lefschetz import (
-    MonomialCI,
     PrimeField,
     RegionTag,
     delta_value,
@@ -214,7 +213,7 @@ class TestCrossRouteLinks:
                 if d3 >= d1 + d2:
                     continue
                 expected = delta_value(field, d1, d2, d3) <= 1
-                got = max_rank_in_every_degree(MonomialCI(field, (d1, d2)), d3)
+                got = max_rank_in_every_degree(field, (d1, d2), d3)
                 assert expected == got, (p, d1, d2, d3)
 
     def test_vanishing_matches_bounded_search(self):
