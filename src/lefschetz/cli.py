@@ -2,10 +2,10 @@
 
 Subcommands
 -----------
-check     decide the strong Lefschetz property of one algebra (exit 0 yes,
-          1 no, 2 usage error), printing the fired classification condition
-          and, for two-variable failures, a verified kernel witness
-classify  closed-form classification only (same exit convention)
+check     decide the strong Lefschetz property of one algebra by the routes of
+          ``ROUTES`` (exit 0 yes, 1 no, 2 usage error), printing the fired
+          condition and, for two-variable failures, a verified kernel witness
+classify  ``check --mode digits`` without the witness
 wlp       weak Lefschetz property by the rank oracle
 syzgap    syzygy gap profile (alpha, beta, gap, region) of a degree triple
 verify    sweep a grid of algebras with several decision routes and report
@@ -34,7 +34,15 @@ from .prime_field import PrimeField
 from .syzygy_gap import region, slp_via_delta, syzygy_profile
 from .verdict import KernelWitness
 
-MODES = ("oracle", "digits", "manhattan", "delta")
+# mode -> (number of variables it needs, None for any; its SLP verdict). Each
+# route is looked up as this module's name per call, so wrappers set there see it.
+ROUTES = {
+    "oracle": (None, lambda field, ds: is_slp_oracle(field, ds).has_slp),
+    "digits": (None, lambda field, ds: classify(field, ds).has_slp),
+    "manhattan": (2, lambda field, ds: manhattan_check(field, *ds)),
+    "delta": (2, lambda field, ds: slp_via_delta(field, *ds)),
+}
+MODES = tuple(ROUTES)
 FORMATS = ("json", "csv", "text")
 # a config comment starts at a '#' that opens the line or follows whitespace
 _CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
@@ -97,17 +105,6 @@ def _field(p: int) -> PrimeField:
         raise UsageError(str(exc)) from None
 
 
-def _mode_verdict(mode: str, field: PrimeField, ds: tuple[int, ...]) -> bool:
-    if mode == "oracle":
-        return is_slp_oracle(field, ds).has_slp
-    if mode == "digits":
-        return classify(field, ds).has_slp
-    if mode == "manhattan":
-        return manhattan_check(field, ds[0], ds[1])
-    if mode == "delta":
-        return slp_via_delta(field, ds[0], ds[1])
-
-
 def _witness_dict(w: KernelWitness) -> dict:
     return {
         "monomial": list(w.monomial),
@@ -117,15 +114,12 @@ def _witness_dict(w: KernelWitness) -> dict:
 
 
 def _check_modes(modes, n: int) -> None:
-    bad = [m for m in modes if m not in MODES]
+    bad = [m for m in modes if m not in ROUTES]
     if bad:
         raise UsageError(f"unknown modes: {', '.join(bad)}")
-    if n != 2:
-        two_only = [m for m in modes if m in ("manhattan", "delta")]
-        if two_only:
-            raise UsageError(
-                f"modes {', '.join(two_only)} apply to two variables only (n={n})"
-            )
+    misfits = [m for m in modes if ROUTES[m][0] not in (None, n)]
+    if misfits:
+        raise UsageError(f"modes {', '.join(misfits)} apply to two variables only (n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +132,13 @@ def _cmd_check(args) -> int:
     if any(d < 2 for d in ds):
         raise UsageError("exponents must be at least 2")
     if args.mode == "all":
-        modes = ["oracle", "digits"] + (["manhattan", "delta"] if len(ds) == 2 else [])
+        modes = [m for m, (arity, _) in ROUTES.items() if arity in (None, len(ds))]
     else:
         modes = [args.mode]
     _check_modes(modes, len(ds))
     # digits is decided once: its verdict also gives the printed condition
     digits = classify(field, ds) if "digits" in modes else None
-    verdicts = {m: digits.has_slp if m == "digits" else _mode_verdict(m, field, ds)
+    verdicts = {m: digits.has_slp if m == "digits" else ROUTES[m][1](field, ds)
                 for m in modes}
     if len(set(verdicts.values())) > 1:
         detail = ", ".join(f"{m}={v}" for m, v in verdicts.items())
@@ -155,7 +149,7 @@ def _cmd_check(args) -> int:
     condition = digits.condition if digits else "via " + "/".join(modes)
     word = "SLP" if has_slp else "no SLP"
     print(f"p={field.p} d=({dtext}): {word} ({condition})")
-    if not has_slp and len(ds) == 2:
+    if args.witness and not has_slp and len(ds) == 2:
         w = kernel_witness(field, *ds)
         e1, e2 = w.monomial
         print(
@@ -163,19 +157,6 @@ def _cmd_check(args) -> int:
             f"degree {w.degree} -> {w.target_degree}"
         )
     return 0 if has_slp else 1
-
-
-def _cmd_classify(args) -> int:
-    field = _field(args.p)
-    ds = _parse_int_list(args.d, "exponent list")
-    try:
-        verdict = classify(field, ds)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    dtext = ",".join(str(d) for d in ds)
-    word = "SLP" if verdict.has_slp else "no SLP"
-    print(f"p={field.p} d=({dtext}): {word} ({verdict.condition})")
-    return 0 if verdict.has_slp else 1
 
 
 def _cmd_wlp(args) -> int:
@@ -321,8 +302,7 @@ def _sweep_share(share) -> tuple[list[str], int, int]:
     ``share`` is ``((fields, n, max_exponent, modes, format), index, count)``.
     Share ``index`` of ``count`` holds the algebras at grid positions index,
     index + count, index + 2*count, ...: costs grow along the grid, so every
-    share samples all of it. The routes are looked up as this module's names
-    at each call, so a wrapper set on them sees every decision.
+    share samples all of it.
     """
     (fields, n, max_exponent, modes, fmt), index, count = share
     entry = _RENDERERS[fmt][0]
@@ -330,7 +310,7 @@ def _sweep_share(share) -> tuple[list[str], int, int]:
     slp = disagreements = 0
     for p, ds in itertools.islice(_grid(fields, n, max_exponent), index, None, count):
         field = fields[p]
-        verdicts = {m: _mode_verdict(m, field, ds) for m in modes}
+        verdicts = {m: ROUTES[m][1](field, ds) for m in modes}
         agree = len(set(verdicts.values())) == 1
         witness = None
         if not agree:
@@ -430,10 +410,8 @@ def _json_report(config: dict, texts: list[str], summary: dict) -> str:
     return f'{head[:-2]},\n  "entries": {body},\n{tail[2:]}\n'
 
 
-_CSV_HEADER = (
-    "p,d,verdict_oracle,verdict_digits,verdict_manhattan,"
-    "verdict_delta,agree,witness_monomial,witness_power"
-)
+_CSV_HEADER = ",".join(["p", "d", *(f"verdict_{mode}" for mode in MODES),
+                        "agree", "witness_monomial", "witness_power"])
 
 
 def _csv_entry(p, d, verdicts, agree, witness) -> str:
@@ -512,17 +490,22 @@ def render_text(report: dict) -> str:
 
 def _cmd_verify(args) -> int:
     config = _sweep_config(args)
+    # opened before the sweep: an unwritable path fails at once, not after it
+    try:
+        handle = open(config["out"], "w", encoding="utf-8", newline="") if config["out"] else None
+    except OSError as exc:
+        raise UsageError(f"cannot write report to {config['out']}: {exc}") from None
     started = time.monotonic()
     payload, disagreements = _sweep(config)
     elapsed = time.monotonic() - started
-    if config["out"]:
+    if handle is None:
+        sys.stdout.write(payload)
+    else:
         try:
-            with open(config["out"], "w", encoding="utf-8", newline="") as handle:
+            with handle:
                 handle.write(payload)
         except OSError as exc:
             raise UsageError(f"cannot write report to {config['out']}: {exc}") from None
-    else:
-        sys.stdout.write(payload)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0 if disagreements == 0 else 1
 
@@ -543,12 +526,12 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--d", required=True, help="comma-separated exponents, e.g. 2,3")
     check.add_argument("--mode", default="all", choices=("all",) + MODES,
                        help="decision route (default: all applicable, cross-checked)")
-    check.set_defaults(func=_cmd_check)
+    check.set_defaults(func=_cmd_check, witness=True)
 
     cls = sub.add_parser("classify", help="closed-form classification only")
     cls.add_argument("--p", type=int, required=True)
     cls.add_argument("--d", required=True)
-    cls.set_defaults(func=_cmd_classify)
+    cls.set_defaults(func=_cmd_check, mode="digits", witness=False)
 
     wlp = sub.add_parser("wlp", help="decide the WLP by the rank oracle")
     wlp.add_argument("--p", type=int, required=True)
@@ -564,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--primes", help="comma-separated primes, e.g. 2,3,5")
     verify.add_argument("--n", help="number of variables (default 2)")
     verify.add_argument("--max", help="largest exponent per variable (default 6)")
-    verify.add_argument("--modes", help="subset of oracle,digits,manhattan,delta")
+    verify.add_argument("--modes", help=f"subset of {','.join(MODES)}")
     verify.add_argument("--format", help="json, csv or text (default text)")
     verify.add_argument("--out", help="write the report to FILE instead of stdout")
     verify.add_argument("--jobs", help="parallel workers (default: available processors)")

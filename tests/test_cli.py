@@ -85,6 +85,16 @@ class TestCheck:
         assert code == 0 and "condition 3" in out
         assert calls == [(4, 4)]
 
+    def test_route_disagreement_is_refused(self, monkeypatch, capsys):
+        # a wrong route makes check refuse a verdict rather than pick one
+        real = cli.manhattan_check
+        monkeypatch.setattr(cli, "manhattan_check", lambda field, a, b: not real(field, a, b))
+        code, out, err = run_cli(["check", "--p", "3", "--d", "2,2"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("internal disagreement between decision routes: ")
+        assert "manhattan=False" in err
+
     def test_two_variable_mode_rejected_for_three(self, capsys):
         code, _, err = run_cli(
             ["check", "--p", "3", "--d", "2,2,2", "--mode", "manhattan"], capsys
@@ -174,6 +184,10 @@ class TestSyzgap:
         pytest.param(
             ["check", "--p", "3", "--d", "4", "--mode", "manhattan"],
             id="check-manhattan-one-variable",
+        ),
+        pytest.param(
+            ["check", "--p", "3", "--d", "2,2,2", "--mode", "delta"],
+            id="check-delta-three-variables",
         ),
         pytest.param(["syzgap", "--p", "3", "--d", "2,2"], id="syzgap-two-degrees"),
         pytest.param(["check", "--p", "3", "--d", "2,2", "--mode", "bogus"],
@@ -462,6 +476,38 @@ class TestVerify:
         assert "elapsed" not in out
         assert "elapsed" in err
 
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_routes_looked_up_in_cli_per_call(self, mode, monkeypatch, capsys):
+        # a wrapper set on cli's name after import sees every decision of its mode
+        name = {"oracle": "is_slp_oracle", "digits": "classify",
+                "manhattan": "manhattan_check", "delta": "slp_via_delta"}[mode]
+        real = getattr(cli, name)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+        code, _, _ = run_cli(["verify", "--primes", "2,3", "--max", "6", "--modes", mode,
+                              "--jobs", "1"], capsys)
+        assert code == 0
+        assert len(calls) == 30  # 2 primes x 15 pairs 2 <= a <= b <= 6
+
+    def test_unwritable_out_refused_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(config):
+            raise AssertionError("swept before the report file was opened")
+
+        monkeypatch.setattr(cli, "_sweep", no_sweep)
+        code, out, err = run_cli(
+            ["verify", "--primes", "2,3,5,7", "--max", "30",
+             "--modes", "oracle,digits,manhattan,delta",
+             "--out", str(tmp_path / "missing" / "r.json")],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write report to ") and err.count("\n") == 1
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(self.BASE + ["--format", "json", "--out", str(target)], capsys)
@@ -594,6 +640,10 @@ class TestVerify:
             pytest.param([], b"max = \xff\n", id="undecodable-config"),
             pytest.param(["--config", "{tmp}/missing.cfg"], None, id="missing-config"),
             pytest.param(["--out", "{tmp}/missing/report.txt"], None, id="unwritable-out"),
+            # opens, then fails to write (ENOSPC)
+            pytest.param(["--out", "/dev/full"], None, id="full-out",
+                         marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                  reason="no /dev/full")),
             pytest.param(["--primes", "2,3,2"], None, id="repeated-prime-flag"),
             pytest.param(["--modes", "digits,digits"], None, id="repeated-mode-flag"),
             pytest.param(["--bogus"], None, id="unknown-flag"),
