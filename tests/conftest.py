@@ -227,28 +227,6 @@ def matmul_mod(a: MatrixGFp, b: MatrixGFp, p: int) -> MatrixGFp:
     return matrix_from_rows(out, cols=b.cols)
 
 
-def hilbert_function(exponents, degree: int) -> int:
-    """Dimension of the graded piece in the given degree.
-
-    The coefficient of degree ``degree`` in prod_j (1 + x + ... + x^(dj - 1)).
-    Multiplying by one factor replaces each coefficient by the sum of the
-    last dj ones, kept as a running window sum: O(n * t) in all.
-    """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    coeffs = [1]
-    for d in exponents:
-        padded = coeffs + [0] * (d - 1)
-        coeffs = []
-        window = 0
-        for k, c in enumerate(padded):
-            window += c
-            if k >= d:
-                window -= padded[k - d]
-            coeffs.append(window)
-    return coeffs[degree] if degree < len(coeffs) else 0
-
-
 def hilbert_series_identity(field, d1: int, d2: int, d3: int) -> bool:
     """Check the graded-resolution identity for R/(x^d1, y^d2, (x+y)^d3).
 

@@ -1,4 +1,4 @@
-"""Graded bases, Hilbert functions, and multiplication matrices."""
+"""Top degree, graded bases, and multiplication matrices."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from conftest import (
     basis,
     count_monomials,
     dense_row,
-    hilbert_function,
     matmul_mod,
     mult_matrix_by_expansion,
 )
@@ -109,51 +108,6 @@ class TestGradedBasis:
                     expected = mult_matrix_by_expansion(F31, exps, power, degree)
                     assert mult_matrix(F31, exps, power, degree) == expected, (
                         exps, power, degree,
-                    )
-
-
-class TestHilbertFunction:
-    def test_square_example(self):
-        assert [hilbert_function((2, 2), i) for i in range(4)] == [1, 2, 1, 0]
-
-    def test_mixed_example(self):
-        assert hilbert_function((3, 4), 3) == 3
-
-    def test_matches_basis_size_and_enumeration(self):
-        for exps in [(2, 2), (3, 4), (2, 3, 4), (5,), (1, 4)]:
-            for i in range(top_degree(exps) + 2):
-                hf = hilbert_function(exps, i)
-                assert hf == len(basis(exps, i))
-                assert hf == count_monomials(exps, i)
-
-    @pytest.mark.parametrize("n, bounds", [(1, range(1, 7)), (2, range(1, 7)),
-                                           (3, range(1, 5)), (4, range(1, 4))])
-    def test_matches_monomial_count_on_small_grids(self, n, bounds):
-        # covers exponent 1 (a one-term window), degrees past the top
-        # degree, and degrees below an exponent (a window still filling)
-        for exps in product(bounds, repeat=n):
-            for i in range(top_degree(exps) + 3):
-                assert hilbert_function(exps, i) == count_monomials(exps, i), (exps, i)
-
-    def test_symmetry_about_half_top(self):
-        for exps in [(2, 2), (3, 5), (2, 3, 4), (4, 4, 4)]:
-            t = top_degree(exps)
-            for i in range(t + 1):
-                assert hilbert_function(exps, i) == hilbert_function(exps, t - i)
-
-    def test_total_dimension_is_product(self):
-        for exps in [(2, 2), (3, 4), (2, 3, 4), (6,)]:
-            total = sum(hilbert_function(exps, i) for i in range(top_degree(exps) + 1))
-            assert total == math.prod(exps)
-
-    def test_growth_up_to_middle(self):
-        # HF(i) <= HF(i+d) whenever i <= (t-d)/2
-        for exps in product(range(1, 5), repeat=3):
-            t = top_degree(exps)
-            for d in range(1, t + 1):
-                for i in range((t - d) // 2 + 1):
-                    assert hilbert_function(exps, i) <= hilbert_function(exps, i + d), (
-                        exps, d, i,
                     )
 
 
@@ -254,5 +208,5 @@ def test_column_count_matches_source_dimension(data):
     degree = data.draw(st.integers(0, top_degree(exps) + 1))
     power = data.draw(st.integers(1, top_degree(exps) + 2))
     m = mult_matrix(PrimeField(p), exps, power, degree)
-    assert m.cols == hilbert_function(exps, degree)
-    assert m.rows == hilbert_function(exps, degree + power)
+    assert m.cols == count_monomials(exps, degree)
+    assert m.rows == count_monomials(exps, degree + power)

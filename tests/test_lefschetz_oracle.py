@@ -198,22 +198,6 @@ class TestKernelWitness:
         with pytest.raises(ValueError, match="no witness"):
             kernel_witness(PrimeField(5), 7, 7)
 
-    def test_witnesses_verify_independently(self):
-        for p in (2, 3, 5):
-            field = PrimeField(p)
-            for a in range(2, 16):
-                for b in range(a, 16):
-                    if not slp_step_check(field, a, b):
-                        continue
-                    w = kernel_witness(field, a, b)
-                    e1, e2 = w.monomial
-                    assert e1 < a and e2 < b
-                    assert power_times_monomial_is_zero(p, a, b, e1, e2, w.power)
-                    assert count_monomials((a, b), w.degree) <= count_monomials(
-                        (a, b), w.target_degree
-                    )
-                    assert w.target_degree == w.degree + w.power
-
     def test_tie_break_takes_lowest_condition(self):
         # a=5, b=7 over GF(5) violates conditions 1 and 3 at level one;
         # the fixed order picks condition 1: monomial x^0, power (1+1)*5
