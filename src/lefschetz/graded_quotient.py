@@ -133,4 +133,4 @@ def mult_matrix(
                 out.extend(filter(nonzero, zip(range(first, first + hi - lo + 1),
                                                row[top - hi:top - lo + 1])))
             columns.append(tuple(out))
-    return MatrixGFp(rows, len(columns), tuple(columns))
+    return MatrixGFp(rows, tuple(columns))

@@ -29,15 +29,6 @@ from .graded_quotient import mult_matrix, top_degree
 from .prime_field import PrimeField, binomial_mod_p, rank
 from .verdict import KernelWitness, SlpVerdict
 
-__all__ = [
-    "SlpVerdict",
-    "KernelWitness",
-    "max_rank_in_every_degree",
-    "is_slp_oracle",
-    "is_wlp_oracle",
-    "kernel_witness",
-]
-
 
 def max_rank_in_every_degree(field: PrimeField, exponents: tuple[int, ...], power: int) -> bool:
     """Whether multiplication by (x1 + ... + xn)^power has maximal rank

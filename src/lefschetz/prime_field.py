@@ -59,23 +59,21 @@ class MatrixGFp:
 
     Each column is a tuple of ``(row, entry)`` pairs holding the nonzero
     entries in increasing row order, so equal matrices compare equal.
-    Entries and row indices are checked against the field and the shape
-    where a field is available (see :func:`rank`); the constructor checks
-    the dimensions and the number of columns only.
+    The number of columns is ``len(columns)``. Entries and row indices are
+    checked against the field and the shape where a field is available (see
+    :func:`rank`); the constructor checks the number of rows only.
     """
 
     rows: int
-    cols: int
     columns: tuple[Column, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if len(self.columns) != self.cols:
-            raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.cols} columns, "
-                f"got {len(self.columns)}"
-            )
+        if self.rows < 0:
+            raise ValueError("the number of rows must be non-negative")
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
 
 def rank(matrix: MatrixGFp, field: PrimeField) -> int:

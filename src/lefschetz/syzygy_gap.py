@@ -69,7 +69,7 @@ def presentation_matrix(field: PrimeField, d1: int, d2: int, d3: int, tau: int) 
     if tau >= d3:
         coeffs = binomial_row(d3, field)
         columns += [tuple((k + j, c) for j, c in coeffs) for k in range(tau - d3 + 1)]
-    return MatrixGFp(tau + 1, len(columns), tuple(columns))
+    return MatrixGFp(tau + 1, tuple(columns))
 
 
 def kernel_dimension(field: PrimeField, d1: int, d2: int, d3: int, tau: int) -> int:

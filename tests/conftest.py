@@ -31,7 +31,7 @@ def matrix_from_rows(rows, cols: int | None = None) -> MatrixGFp:
     elif cols is None:
         cols = 0
     columns = tuple(tuple((i, r[j]) for i, r in enumerate(rows) if r[j]) for j in range(cols))
-    return MatrixGFp(len(rows), cols, columns)
+    return MatrixGFp(len(rows), columns)
 
 
 def dense_row(matrix: MatrixGFp, i: int) -> tuple[int, ...]:
@@ -107,7 +107,7 @@ def presentation_matrix_by_lookup(field, d1: int, d2: int, d3: int, tau: int) ->
     if tau >= d3:
         coeffs = [(j, c) for j in range(d3 + 1) if (c := binomial_mod_p(d3, j, field))]
         columns += [tuple((k + j, c) for j, c in coeffs) for k in range(tau - d3 + 1)]
-    return MatrixGFp(tau + 1, len(columns), tuple(columns))
+    return MatrixGFp(tau + 1, tuple(columns))
 
 
 def odd_sum_distance_by_search(point, step: int) -> int:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     basis,
@@ -200,13 +199,14 @@ class TestMultMatrix:
                         )
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_column_count_matches_source_dimension(data):
-    p = data.draw(st.sampled_from((2, 3, 5)))
-    exps = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
-    degree = data.draw(st.integers(0, top_degree(exps) + 1))
-    power = data.draw(st.integers(1, top_degree(exps) + 2))
-    m = mult_matrix(PrimeField(p), exps, power, degree)
-    assert m.cols == count_monomials(exps, degree)
-    assert m.rows == count_monomials(exps, degree + power)
+def test_column_count_matches_source_dimension():
+    rng = random.Random(4)
+    drawn = [tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 3))) for _ in range(12)]
+    for p in (2, 3, 5):
+        for exps in [(1,), (5, 5, 5), *drawn]:
+            t = top_degree(exps)
+            for degree, power in ((0, 1), (t + 1, t + 2),
+                                  (rng.randint(0, t + 1), rng.randint(1, t + 2))):
+                m = mult_matrix(PrimeField(p), exps, power, degree)
+                assert m.cols == count_monomials(exps, degree), (p, exps, power, degree)
+                assert m.rows == count_monomials(exps, degree + power), (p, exps, power, degree)

@@ -12,8 +12,6 @@ import random
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     SMALL_PRIMES,
@@ -98,16 +96,6 @@ class TestPresentationMatrix:
 
 
 class TestGapInvariants:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_lipschitz_bound(self, data):
-        p = data.draw(st.sampled_from((2, 3, 5)))
-        field = PrimeField(p)
-        c = tuple(data.draw(st.integers(1, 10)) for _ in range(3))
-        d = tuple(data.draw(st.integers(1, 10)) for _ in range(3))
-        gap = abs(delta_value(field, *c) - delta_value(field, *d))
-        assert gap <= sum(abs(x - y) for x, y in zip(c, d))
-
     def test_local_maxima_are_small(self):
         # wherever the gap strictly drops in all six unit directions and a
         # coordinate avoids divisibility by p, its value is at most 1
