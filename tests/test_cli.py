@@ -54,6 +54,27 @@ class TestCheck:
         assert "no SLP" in out
         assert "witness" in out and "power 2" in out
 
+    def test_composite_characteristic_exit_two(self, capsys):
+        code, _, err = run_cli(["check", "--p", "4", "--d", "2,2"], capsys)
+        assert code == 2
+        assert "4 is not prime" in err
+
+    def test_small_exponent_exit_two(self, capsys):
+        code, _, err = run_cli(["check", "--p", "3", "--d", "1,4"], capsys)
+        assert code == 2
+        assert "at least 2" in err
+
+    def test_malformed_exponents_exit_two(self, capsys):
+        code, _, err = run_cli(["check", "--p", "3", "--d", "2,x"], capsys)
+        assert code == 2
+
+    def test_two_variable_mode_rejected_for_three(self, capsys):
+        code, _, err = run_cli(
+            ["check", "--p", "3", "--d", "2,2,2", "--mode", "manhattan"], capsys
+        )
+        assert code == 2
+        assert "two variables" in err
+
     def test_single_mode(self, capsys):
         code, out, _ = run_cli(["check", "--p", "3", "--d", "2,2", "--mode", "oracle"], capsys)
         assert code == 0 and "SLP" in out
@@ -115,6 +136,14 @@ class TestSyzgap:
 
         code, out, _ = run_cli(["syzgap", "--p", "5", "--d", "1,1,2"], capsys)
         assert "delta=0" in out and "L_equal" in out
+
+    def test_bad_degree(self, capsys):
+        code, _, err = run_cli(["syzgap", "--p", "2", "--d", "0,1,1"], capsys)
+        assert code == 2
+
+    def test_wrong_arity(self, capsys):
+        code, _, err = run_cli(["syzgap", "--p", "2", "--d", "1,1"], capsys)
+        assert code == 2
 
 
 # Each usage-error contract of the single-algebra commands is one row here;
