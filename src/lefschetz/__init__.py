@@ -10,7 +10,7 @@ integer arithmetic; all values are immutable and safe to share.
 from .classifier import (
     base_p_digits,
     classify,
-    delta_zero_criterion,
+    han_delta,
     manhattan_check,
     slp_step_check,
 )
@@ -47,7 +47,7 @@ __all__ = [
     "binomial_mod_p",
     "classify",
     "delta_value",
-    "delta_zero_criterion",
+    "han_delta",
     "is_slp_oracle",
     "is_wlp_oracle",
     "kernel_dimension",

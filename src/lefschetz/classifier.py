@@ -12,9 +12,10 @@ Three equivalent formulations are implemented for two variables:
   number of variables, behind :func:`classify`, which reports which of the
   five numbered conditions of the combined classification fired.
 
-:func:`delta_zero_criterion` decides vanishing of the syzygy gap by the
-odd-sum lattice distance of the degree triple (``_odd_sum_distance``); it is
-the only caller of that distance here.
+:func:`han_delta` gives the syzygy gap of a degree triple itself, by Han's
+closed form: outside the balanced region from the degrees alone, inside it
+from the triple's odd-sum lattice distance (``_odd_sum_distance``) at each
+level p^k. It is the only caller of that distance.
 
 All functions are pure; everything is exact integer arithmetic.
 """
@@ -266,29 +267,26 @@ def classify(field: PrimeField, ds) -> SlpVerdict:
     return SlpVerdict(True, condition=f"condition {number}: {tag}")
 
 
-def delta_zero_criterion(field: PrimeField, d1: int, d2: int, d3: int) -> bool:
-    """Closed-form test of whether the syzygy gap of the triple vanishes.
+def han_delta(field: PrimeField, d1: int, d2: int, d3: int) -> int:
+    """The syzygy gap of x^d1, y^d2, (x+y)^d3 over GF(p), by Han's theorem.
 
-    Requires 1 <= d1 <= d2 <= d3 < d1 + d2. The gap is zero iff
-
-        |d1 - u*p^s| + |d2 - v*p^s| + |d3 - w*p^s| >= p^s
-
-    for every s >= 0 and all integers u, v, w with odd sum. The minimum of
-    the left side is the odd-sum lattice distance ``_odd_sum_distance``,
-    and levels stop once p^s reaches d1 + d2 + d3.
-    Level 0 is a genuine check here: when d1 + d2 + d3 is odd the point
-    itself has odd coordinate sum and the gap cannot vanish.
+    The degrees are positive, in any order. With t the largest and s their
+    sum: outside the balanced region (2t >= s) the gap is 2t - s. Inside it
+    the gap is the largest p^k - D_k that is positive, or 0 if none is,
+    where D_k = min |d1 - u*p^k| + |d2 - v*p^k| + |d3 - w*p^k| over
+    integers u, v, w with odd sum (``_odd_sum_distance``). Levels run from
+    k = 0 up to the first p^k >= s. Level 0 counts: an odd s gives D_0 = 0
+    and a gap of at least 1.
     """
-    if not 1 <= d1 <= d2 <= d3 < d1 + d2:
-        raise ValueError("require 1 <= d1 <= d2 <= d3 < d1 + d2")
-    p = field.p
+    if min(d1, d2, d3) < 1:
+        raise ValueError("degrees must be positive")
+    top = max(d1, d2, d3)
     total = d1 + d2 + d3
-    s = 0
+    if 2 * top >= total:
+        return 2 * top - total
+    gap, step = 0, 1
     while True:
-        step = p**s
-        if _odd_sum_distance((d1, d2, d3), step) < step:
-            return False
+        gap = max(gap, step - _odd_sum_distance((d1, d2, d3), step))
         if step >= total:
-            break
-        s += 1
-    return True
+            return gap
+        step *= field.p

@@ -499,7 +499,9 @@ def _cmd_verify(args) -> int:
     payload, disagreements = _sweep(config)
     elapsed = time.monotonic() - started
     if handle is None:
+        # flushed before the elapsed line, so a failed write leaves one line on stderr
         sys.stdout.write(payload)
+        sys.stdout.flush()
     else:
         try:
             with handle:
@@ -561,9 +563,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a failed write is reported below: left to the
+        # interpreter's last flush at exit, it would end in exit code 120.
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # The commands report their own file errors as usage errors, so this
+        # is a failed write of stdout. Exit 1 would read as a verdict.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -139,18 +139,6 @@ def manhattan_by_search(p: int, a: int, b: int) -> bool:
         level += 1
 
 
-def delta_zero_by_search(p: int, d1: int, d2: int, d3: int) -> bool:
-    """Vanishing syzygy gap of (d1, d2, d3), each distance by box search."""
-    s = 0
-    while True:
-        step = p**s
-        if odd_sum_distance_by_search((d1, d2, d3), step) < step:
-            return False
-        if step >= d1 + d2 + d3:
-            return True
-        s += 1
-
-
 def syzygy_profile_scan(field, d1: int, d2: int, d3: int) -> SyzygyProfile:
     """Locate both generator degrees by ascending kernel searches.
 

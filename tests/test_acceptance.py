@@ -20,7 +20,7 @@ from lefschetz import (
     RegionTag,
     classify,
     delta_value,
-    delta_zero_criterion,
+    han_delta,
     is_slp_oracle,
     kernel_witness,
     manhattan_check,
@@ -69,18 +69,18 @@ def test_c1_two_variable_four_way_equivalence():
 
 
 def test_c2_delta_criterion_equivalence():
+    # Han's closed form against the matrix gap, value for value
     mismatches = []
     count = 0
     for field in FIELDS_3:
-        for d1, d2, d3 in admissible_triples(60):
+        for d in admissible_triples(60):
             count += 1
-            vanishes = delta_value(field, d1, d2, d3) == 0
-            predicted = delta_zero_criterion(field, d1, d2, d3)
-            if vanishes != predicted:
-                mismatches.append((field.p, d1, d2, d3, vanishes, predicted))
+            gap, closed = delta_value(field, *d), han_delta(field, *d)
+            if gap != closed:
+                mismatches.append((field.p, d, gap, closed))
     assert count > 0
-    assert not mismatches, f"criterion disagreement: {mismatches[:10]}"
-    print(f"ACCEPTANCE C2 (gap vanishing criterion, {count} checks): PASS")
+    assert not mismatches, f"closed form disagrees with the matrix gap: {mismatches[:10]}"
+    print(f"ACCEPTANCE C2 (Han's closed form equals the matrix gap, {count} checks): PASS")
 
 
 def test_c3_gap_bounds_maximal_rank():
@@ -110,6 +110,8 @@ def test_c4_syzygy_gap_invariant_suite():
         p = field.p
         # one profile per triple of the grid and its unit-step neighbours
         profiles = {d: syzygy_profile(field, *d) for d in product(range(1, 26), repeat=3)}
+        violations += [("han", p, d) for d, profile in profiles.items()
+                       if han_delta(field, *d) != profile.delta]
         for d in grid:
             total = sum(d)
             profile = profiles[d]

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from conftest import (
     SMALL_PRIMES,
-    delta_zero_by_search,
     manhattan_by_search,
     odd_sum_distance_by_search,
 )
@@ -17,7 +16,8 @@ from lefschetz import (
     PrimeField,
     base_p_digits,
     classify,
-    delta_zero_criterion,
+    delta_value,
+    han_delta,
     manhattan_check,
     slp_step_check,
 )
@@ -218,27 +218,27 @@ class TestClassify:
             classify(F3, ())
 
 
-class TestDeltaZeroCriterion:
+class TestHanDelta:
     def test_examples(self):
-        assert delta_zero_criterion(F3, 2, 2, 2)
-        assert not delta_zero_criterion(F2, 2, 2, 2)
-        assert not delta_zero_criterion(F2, 1, 1, 1)
+        assert han_delta(F3, 2, 2, 2) == 0
+        assert han_delta(F2, 2, 2, 2) == 2
+        assert han_delta(F2, 1, 1, 1) == 1
+        for p in (2, 3, 5, MAX_CHARACTERISTIC):  # outside the balanced region
+            assert han_delta(PrimeField(p), 1, 1, 100) == 98
 
-    def test_odd_total_always_fails(self):
-        assert not delta_zero_criterion(F5, 2, 3, 4)
-
-    def test_precondition_violation_rejected(self):
-        with pytest.raises(ValueError):
-            delta_zero_criterion(F3, 3, 2, 2)
-        with pytest.raises(ValueError):
-            delta_zero_criterion(F3, 2, 3, 5)
-
-    def test_wide_window_agrees(self):
+    def test_invariant_under_permutation(self):
         for p in (2, 3, 5):
             field = PrimeField(p)
-            for d1 in range(1, 9):
-                for d2 in range(d1, 9):
-                    for d3 in range(d2, d1 + d2):
-                        assert delta_zero_criterion(field, d1, d2, d3) == (
-                            delta_zero_by_search(p, d1, d2, d3)
-                        ), (p, d1, d2, d3)
+            for d in product(range(1, 10), repeat=3):
+                gaps = {han_delta(field, *perm) for perm in permutations(d)}
+                assert gaps == {han_delta(field, *d)}, (p, d)
+
+    def test_matches_matrix_gap_at_maximal_characteristic(self):
+        field = PrimeField(MAX_CHARACTERISTIC)
+        for d in product(range(1, 9), repeat=3):
+            assert han_delta(field, *d) == delta_value(field, *d), d
+
+    def test_degree_below_one_rejected(self):
+        for d in ((0, 1, 1), (1, -2, 1), (1, 1, 0)):
+            with pytest.raises(ValueError):
+                han_delta(F3, *d)

@@ -448,6 +448,32 @@ class TestVerify:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    def test_route_disagreement_is_reported(self, monkeypatch, capsys):
+        # a route made wrong on the square algebras: those entries disagree,
+        # get no witness and count in neither slp nor non_slp
+        real = cli.manhattan_check
+        monkeypatch.setattr(cli, "manhattan_check",
+                            lambda field, a, b: real(field, a, b) != (a == b))
+        code, out, _ = run_cli(["verify", "--primes", "2,3", "--max", "6",
+                                "--modes", "digits,manhattan", "--format", "json", "--jobs", "1"],
+                               capsys)
+        assert code == 1
+        report = json.loads(out)
+        summary = report["summary"]
+        disagreeing = [e for e in report["entries"] if not e["agree"]]
+        assert [e["d"] for e in disagreeing] == [[a, a] for a in range(2, 7)] * 2
+        assert all(e["witness"] is None for e in disagreeing)
+        assert summary["disagreements"] == len(disagreeing)
+        assert summary["slp"] > 0
+        assert summary["non_slp"] == summary["tuples"] - summary["slp"] - len(disagreeing) > 0
+
+    @pytest.mark.parametrize("source", [s for s in RENDER_SOURCES
+                                        if not isinstance(s.values[0], str)])
+    def test_text_render_matches_verify_text(self, source, capsys):
+        code, out, _ = run_cli(["verify", "--jobs", "1", "--format", "text", *source], capsys)
+        assert code == 0
+        assert cli.render_text(self._report(source)) == out
+
     def test_elapsed_goes_to_stderr_only(self, capsys):
         _, out, err = run_cli(self.BASE + ["--format", "text"], capsys)
         assert "elapsed" not in out
@@ -607,10 +633,20 @@ class TestVerify:
             pytest.param(["--n", "3", "--modes", "delta"], None, "two variables only",
                          id="two-variable-mode-at-n3"),
             pytest.param([], b"wibble = 3\n", "wibble", id="unknown-config-key"),
+            pytest.param(["--modes", "bogus"], None, "unknown modes: bogus", id="unknown-mode"),
+            pytest.param([], b"primes 2\n", "expected 'key = value'", id="config-line-no-equals"),
+            pytest.param(["--n", "0"], None, "n must be at least 1", id="zero-n"),
+            pytest.param(["--max", "1"], None, "max exponent must be at least 2",
+                         id="max-below-2"),
+            pytest.param(["--jobs", "0"], None, "jobs must be at least 1", id="zero-jobs"),
+            # a row that starts with the command is the whole command line
+            pytest.param(["verify", "--modes", "digits"], None, "verify needs --primes",
+                         id="no-primes"),
+            pytest.param(["verify", "--primes", "2"], None, "verify needs --modes", id="no-modes"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, flags, config, message, tmp_path, capsys):
-        argv = ["verify", "--primes", "2", "--modes", "digits"]
+        argv = [] if flags[:1] == ["verify"] else ["verify", "--primes", "2", "--modes", "digits"]
         argv += [f.format(tmp=tmp_path) for f in flags]
         if config is not None:
             cfg = tmp_path / "sweep.cfg"
@@ -621,6 +657,23 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message is None or message in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "--p", "2", "--d", "2,3"], id="check"),
+    pytest.param(["verify", "--primes", "2", "--max", "4", "--modes", "digits", "--jobs", "1"],
+                 id="verify"),
+])
+def test_unwritable_stdout_is_a_usage_error(argv):
+    # exit 1 would read as a verdict: "no SLP" for check, a disagreement for verify
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lefschetz.__file__)))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "lefschetz", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write output: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -1,8 +1,10 @@
-"""What a reader runs first: the README's session and commands, and the bench script."""
+"""What a reader runs first: the README's session and commands, the installed
+command's target, and the bench script."""
 
 from __future__ import annotations
 
 import doctest
+import importlib
 import os
 import re
 import subprocess
@@ -29,6 +31,15 @@ def test_readme_commands_exit_as_shown():
         done = subprocess.run([sys.executable, "-m", "lefschetz", *args.split()], env=env,
                               stdin=subprocess.DEVNULL, capture_output=True, text=True)
         assert done.returncode == int(shown), (args, done.stdout, done.stderr)
+
+
+def test_console_script_target_imports():
+    # the installed `lefschetz` command; the other tests run `python -m lefschetz`
+    found = re.search(r'^lefschetz = "([\w.]+):(\w+)"$',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.MULTILINE)
+    assert found, "no lefschetz entry in [project.scripts]"
+    module, name = found.groups()
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_bench_script_help():

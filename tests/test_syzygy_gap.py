@@ -22,6 +22,7 @@ from conftest import (
 from lefschetz import (
     PrimeField,
     RegionTag,
+    SyzygyProfile,
     delta_value,
     kernel_dimension,
     presentation_matrix,
@@ -66,6 +67,10 @@ class TestProfile:
         with pytest.raises(ValueError, match="positive"):
             syzygy_profile(F2, 0, 1, 1)
 
+    def test_alpha_above_beta_rejected(self):
+        with pytest.raises(ValueError, match="alpha must not exceed beta"):
+            SyzygyProfile(3, 2)
+
     def test_scan_agrees_everywhere_small(self):
         for p in (2, 3, 5):
             field = PrimeField(p)
@@ -93,6 +98,10 @@ class TestPresentationMatrix:
                 assert presentation_matrix(f, d1, d2, d3, tau) == (
                     presentation_matrix_by_lookup(f, d1, d2, d3, tau)
                 ), (f.p, d1, d2, d3, tau)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            presentation_matrix(F3, 1, 1, 1, -1)
 
 
 class TestGapInvariants:
