@@ -56,15 +56,15 @@ def step_violations(field: PrimeField, a: int, b: int) -> Iterator[tuple[int, in
       3. m > 0 and n > 0 imply r + s >= step - 1
       4. r + s <= step + 1
 
-    Levels run from 1 up to the first level where p**level >= a + b - 1;
-    beyond that both quotients vanish, conditions 1 to 3 are vacuous and
-    condition 4 holds automatically. The pairs are yielded as each level is
-    checked, so a caller that needs only the first checks no further level.
+    Levels run from 1 while p**level < a + b - 1. At any step >= a + b - 1
+    both quotients are 0 and r + s = a + b <= step + 1, so no condition fails
+    there. The pairs are yielded as each level is checked, so a caller that
+    needs only the first checks no further level.
     """
     _check_two_exponents(a, b)
     p = field.p
     level, step = 1, p
-    while True:
+    while step < a + b - 1:
         m, r = divmod(a, step)
         n, s = divmod(b, step)
         if m > 0 and r < s - 1:
@@ -75,8 +75,6 @@ def step_violations(field: PrimeField, a: int, b: int) -> Iterator[tuple[int, in
             yield level, 3
         if r + s > step + 1:
             yield level, 4
-        if step >= a + b - 1:
-            return
         level, step = level + 1, step * p
 
 
@@ -120,7 +118,10 @@ def manhattan_check(field: PrimeField, a: int, b: int) -> bool:
 
     holds for all integers u, v, w with odd sum. Level 0 never fails: with
     step 1 an odd-sum triple cannot hit the point (a, b, a + b - 2c), whose
-    coordinate sum is even. Levels run up to the first p^i >= a + b - 1.
+    coordinate sum is even. Levels run while p^i < a + b - 1: at
+    p^i >= a + b - 1, a, b < p^i and every pair (u, v) below has a budget
+    that its third coordinate's least distance meets or exceeds, so no
+    level there fails.
 
     Each level is decided for all c at once, with step s = p^i:
 
@@ -147,7 +148,7 @@ def manhattan_check(field: PrimeField, a: int, b: int) -> bool:
     p = field.p
     lo, hi = abs(a - b) + 2, a + b - 2
     step = p
-    while True:
+    while step < a + b - 1:
         qa, ra = divmod(a, step)
         qb, rb = divmod(b, step)
         top = hi // step
@@ -164,9 +165,8 @@ def manhattan_check(field: PrimeField, a: int, b: int) -> bool:
             for v, cost_v in ((qb, rb), (qb + 1, step - rb)):
                 if reach[(u + v + 1) & 1] < step - cost_u - cost_v:
                     return False
-        if step >= a + b - 1:
-            return True
         step *= p
+    return True
 
 
 def _two_odd_case(field: PrimeField, a: int, b: int) -> tuple[int | None, str]:
@@ -275,7 +275,8 @@ def han_delta(field: PrimeField, d1: int, d2: int, d3: int) -> int:
     the gap is the largest p^k - D_k that is positive, or 0 if none is,
     where D_k = min |d1 - u*p^k| + |d2 - v*p^k| + |d3 - w*p^k| over
     integers u, v, w with odd sum (``_odd_sum_distance``). Levels run from
-    k = 0 up to the first p^k >= s. Level 0 counts: an odd s gives D_0 = 0
+    k = 0 while p^k < s: at p^k >= s every degree rounds to 0, so
+    p^k - D_k = 2t - s < 0 there. Level 0 counts: an odd s gives D_0 = 0
     and a gap of at least 1.
     """
     if min(d1, d2, d3) < 1:
@@ -285,8 +286,7 @@ def han_delta(field: PrimeField, d1: int, d2: int, d3: int) -> int:
     if 2 * top >= total:
         return 2 * top - total
     gap, step = 0, 1
-    while True:
+    while step < total:
         gap = max(gap, step - _odd_sum_distance((d1, d2, d3), step))
-        if step >= total:
-            return gap
         step *= field.p
+    return gap

@@ -13,7 +13,9 @@ verify    sweep a grid of algebras with several decision routes and report
           text output, a key = value config file, and parallel evaluation
 
 Report data is byte-identical across runs for identical configuration; the
-elapsed time goes to stderr only.
+elapsed time goes to stderr only. Exit code 2 also covers a failed internal
+check, such as a kernel witness or syzygy degrees that do not verify: one
+``error:`` line goes to stderr and no verdict line is printed.
 """
 
 from __future__ import annotations
@@ -98,13 +100,6 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _field(p: int) -> PrimeField:
-    try:
-        return PrimeField(p)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _witness_dict(w: KernelWitness) -> dict:
     return {
         "monomial": list(w.monomial),
@@ -127,7 +122,7 @@ def _check_modes(modes, n: int) -> None:
 
 
 def _cmd_check(args) -> int:
-    field = _field(args.p)
+    field = PrimeField(args.p)
     ds = _parse_int_list(args.d, "exponent list")
     if any(d < 2 for d in ds):
         raise UsageError("exponents must be at least 2")
@@ -148,9 +143,10 @@ def _cmd_check(args) -> int:
     dtext = ",".join(str(d) for d in ds)
     condition = digits.condition if digits else "via " + "/".join(modes)
     word = "SLP" if has_slp else "no SLP"
+    # built before any output: a witness that fails its check prints no verdict
+    w = kernel_witness(field, *ds) if args.witness and not has_slp and len(ds) == 2 else None
     print(f"p={field.p} d=({dtext}): {word} ({condition})")
-    if args.witness and not has_slp and len(ds) == 2:
-        w = kernel_witness(field, *ds)
+    if w:
         e1, e2 = w.monomial
         print(
             f"witness: monomial x^{e1}*y^{e2}, power {w.power}, "
@@ -160,27 +156,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_wlp(args) -> int:
-    field = _field(args.p)
+    field = PrimeField(args.p)
     ds = _parse_int_list(args.d, "exponent list")
-    try:
-        has_wlp = is_wlp_oracle(field, ds)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    has_wlp = is_wlp_oracle(field, ds)
     dtext = ",".join(str(d) for d in ds)
     print(f"p={field.p} d=({dtext}): {'WLP' if has_wlp else 'no WLP'}")
     return 0 if has_wlp else 1
 
 
 def _cmd_syzgap(args) -> int:
-    field = _field(args.p)
+    field = PrimeField(args.p)
     ds = _parse_int_list(args.d, "degree triple")
     if len(ds) != 3:
         raise UsageError("syzgap needs exactly three degrees, e.g. --d 2,2,2")
-    try:
-        profile = syzygy_profile(field, *ds)
-        tag = region(*ds)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    profile = syzygy_profile(field, *ds)
+    tag = region(*ds)
     print(
         f"p={field.p} d=({ds[0]},{ds[1]},{ds[2]}): alpha={profile.alpha} "
         f"beta={profile.beta} delta={profile.delta} region={tag.value}"
@@ -235,7 +225,7 @@ def _sweep_config(args) -> dict:
         raise UsageError("verify needs --primes (or 'primes' in the config file)")
     primes = _parse_int_list(primes_text, "prime list")
     _reject_repeats(primes, "prime")
-    fields = {p: _field(p) for p in primes}
+    fields = {p: PrimeField(p) for p in primes}
 
     n_text = pick(args.n, "n")
     n = _parse_int(n_text, "n") if n_text is not None else 2
@@ -568,13 +558,19 @@ def main(argv=None) -> int:
         # interpreter's last flush at exit, it would end in exit code 120.
         sys.stdout.flush()
         return code
-    except UsageError as exc:
+    except ValueError as exc:
+        # cli's own refusals and the library's argument checks alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         # The commands report their own file errors as usage errors, so this
         # is a failed write of stdout. Exit 1 would read as a verdict.
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # A failed internal check is no verdict either: exit 1 would read as
+        # "no SLP" or as a disagreement.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

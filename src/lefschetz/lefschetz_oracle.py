@@ -125,4 +125,4 @@ def kernel_witness(field: PrimeField, a: int, b: int) -> KernelWitness:
     else:
         monomial, power = (0, 0), (mq + nq + 1) * step
     _verify_witness(field, a, b, monomial, power)
-    return KernelWitness(monomial=monomial, power=power, target_degree=sum(monomial) + power)
+    return KernelWitness(monomial=monomial, power=power)

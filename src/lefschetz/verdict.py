@@ -17,11 +17,14 @@ class KernelWitness:
 
     monomial: tuple[int, ...]
     power: int
-    target_degree: int
 
     @property
     def degree(self) -> int:
         return sum(self.monomial)
+
+    @property
+    def target_degree(self) -> int:
+        return self.degree + self.power
 
 
 @dataclass(frozen=True)

