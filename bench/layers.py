@@ -192,7 +192,7 @@ def tasks(bench: str, work: str) -> list[tuple]:
         return series
     if bench == "witness":
         calls = [args for args in _calls(lz, "kernel_witness", "sweep-n2-digits")
-                 if lz.slp_step_check(*args)]
+                 if any(lz.step_violations(*args))]
         return [("sweep-n2-digits", "kernel_witness", len(calls), _time_calls,
                  ("kernel_witness", calls, False))]
     if bench == "route":

@@ -12,7 +12,7 @@ from .classifier import (
     classify,
     han_delta,
     manhattan_check,
-    slp_step_check,
+    step_violations,
 )
 from .graded_quotient import mult_matrix
 from .lefschetz_oracle import (
@@ -25,7 +25,6 @@ from .prime_field import MatrixGFp, PrimeField, binomial_mod_p, rank
 from .syzygy_gap import (
     RegionTag,
     SyzygyProfile,
-    delta_value,
     kernel_dimension,
     presentation_matrix,
     region,
@@ -46,7 +45,6 @@ __all__ = [
     "base_p_digits",
     "binomial_mod_p",
     "classify",
-    "delta_value",
     "han_delta",
     "is_slp_oracle",
     "is_wlp_oracle",
@@ -58,8 +56,8 @@ __all__ = [
     "presentation_matrix",
     "rank",
     "region",
-    "slp_step_check",
     "slp_via_delta",
+    "step_violations",
     "syzygy_profile",
     "__version__",
 ]

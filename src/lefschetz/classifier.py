@@ -3,7 +3,8 @@
 Three equivalent formulations are implemented for two variables:
 
 * a per-level check of four inequalities on the quotient/remainder
-  decompositions ``a = m*p^i + r``, ``b = n*p^i + s`` (:func:`slp_step_check`);
+  decompositions ``a = m*p^i + r``, ``b = n*p^i + s``, whose violations
+  :func:`step_violations` yields level by level;
 * a Manhattan-distance criterion: no point ``(a, b, a + b - 2c)`` lies
   closer in L1 than ``p^i`` to a multiple ``p^i * (u, v, w)`` with odd
   ``u + v + w``, decided for all c at once by a closed form per level
@@ -58,8 +59,9 @@ def step_violations(field: PrimeField, a: int, b: int) -> Iterator[tuple[int, in
 
     Levels run from 1 while p**level < a + b - 1. At any step >= a + b - 1
     both quotients are 0 and r + s = a + b <= step + 1, so no condition fails
-    there. The pairs are yielded as each level is checked, so a caller that
-    needs only the first checks no further level.
+    there. The algebra has the strong Lefschetz property exactly when no
+    pair is yielded. The pairs are yielded as each level is checked, so a
+    caller that needs only the first checks no further level.
     """
     _check_two_exponents(a, b)
     p = field.p
@@ -76,16 +78,6 @@ def step_violations(field: PrimeField, a: int, b: int) -> Iterator[tuple[int, in
         if r + s > step + 1:
             yield level, 4
         level, step = level + 1, step * p
-
-
-def slp_step_check(field: PrimeField, a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """Every violated (level, condition) pair of the per-level check for
-    K[x,y]/(x^a, y^b), in the order of :func:`step_violations`.
-
-    The algebra has the strong Lefschetz property exactly when the tuple is
-    empty.
-    """
-    return tuple(step_violations(field, a, b))
 
 
 def _odd_sum_distance(point: tuple[int, ...], step: int) -> int:

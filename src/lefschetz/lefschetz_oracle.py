@@ -106,12 +106,12 @@ def kernel_witness(field: PrimeField, a: int, b: int) -> KernelWitness:
       condition 4 -> 1,     power (m + n + 1) * p^i
 
     The witness is re-verified by direct expansion before being returned.
-    Raises ValueError if the algebra has the property or an exponent is
-    below 2.
+    Raises ValueError if an exponent is below 2, and RuntimeError if the
+    algebra has the property, which contradicts the route that said no SLP.
     """
     first = next(step_violations(field, a, b), None)
     if first is None:
-        raise ValueError("algebra has the strong Lefschetz property; no witness exists")
+        raise RuntimeError("algebra has the strong Lefschetz property; no witness exists")
     level, cond = first
     step = field.p**level
     mq, r = divmod(a, step)

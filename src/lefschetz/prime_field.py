@@ -163,17 +163,6 @@ def binomial_row(n: int, field: PrimeField) -> list[tuple[int, int]]:
     return row
 
 
-def _small_binomial(n: int, k: int, p: int) -> int:
-    # C(n, k) mod p for 0 <= k <= n < p, via the multiplicative formula.
-    k = min(k, n - k)
-    num = 1
-    den = 1
-    for j in range(1, k + 1):
-        num = num * ((n - j + 1) % p) % p
-        den = den * j % p
-    return num * pow(den, -1, p) % p if k else 1
-
-
 @lru_cache(maxsize=2**16)
 def binomial_mod_p(n: int, k: int, field: PrimeField) -> int:
     """C(n, k) mod p, computed digit by digit via Lucas' theorem.
@@ -195,5 +184,5 @@ def binomial_mod_p(n: int, k: int, field: PrimeField) -> int:
         kd, k = k % p, k // p
         if kd > nd:
             return 0
-        out = out * _small_binomial(nd, kd, p) % p
+        out = out * comb(nd, kd) % p
     return out

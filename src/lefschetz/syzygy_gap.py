@@ -108,11 +108,6 @@ def syzygy_profile(field: PrimeField, d1: int, d2: int, d3: int) -> SyzygyProfil
     return SyzygyProfile(alpha, beta)
 
 
-def delta_value(field: PrimeField, d1: int, d2: int, d3: int) -> int:
-    """The syzygy gap beta - alpha of the triple."""
-    return syzygy_profile(field, d1, d2, d3).delta
-
-
 def region(d1: int, d2: int, d3: int) -> RegionTag:
     """Classify a positive triple against the balanced region."""
     _check_degrees(d1, d2, d3)
@@ -134,5 +129,5 @@ def slp_via_delta(field: PrimeField, d1: int, d2: int) -> bool:
     if d1 < 2 or d2 < 2:
         raise ValueError("exponents must be at least 2")
     return all(
-        delta_value(field, d1, d2, d1 + d2 - 2 * c) == 0 for c in range(1, min(d1, d2))
+        syzygy_profile(field, d1, d2, d1 + d2 - 2 * c).delta == 0 for c in range(1, min(d1, d2))
     )

@@ -19,14 +19,14 @@ from lefschetz import (
     PrimeField,
     RegionTag,
     classify,
-    delta_value,
     han_delta,
     is_slp_oracle,
     kernel_witness,
     manhattan_check,
     max_rank_in_every_degree,
     region,
-    slp_step_check,
+    slp_via_delta,
+    step_violations,
     syzygy_profile,
 )
 
@@ -58,14 +58,16 @@ def test_c1_two_variable_four_way_equivalence():
         for a, b in pairs(2, 40):
             votes = (
                 is_slp_oracle(field, (a, b)).has_slp,
-                not slp_step_check(field, a, b),
+                not any(step_violations(field, a, b)),
                 manhattan_check(field, a, b),
+                slp_via_delta(field, a, b),
                 classify(field, (a, b)).has_slp,
             )
             if len(set(votes)) != 1:
                 mismatches.append((field.p, a, b, votes))
     assert not mismatches, f"route disagreement: {mismatches[:10]}"
-    print("ACCEPTANCE C1 (n=2 four-way equivalence, p in 2,3,5,7, a<=b<=40): PASS")
+    print("ACCEPTANCE C1 (n=2 oracle, steps, manhattan, delta and classify agree, "
+          "p in 2,3,5,7, a<=b<=40): PASS")
 
 
 def test_c2_delta_criterion_equivalence():
@@ -75,7 +77,7 @@ def test_c2_delta_criterion_equivalence():
     for field in FIELDS_3:
         for d in admissible_triples(60):
             count += 1
-            gap, closed = delta_value(field, *d), han_delta(field, *d)
+            gap, closed = syzygy_profile(field, *d).delta, han_delta(field, *d)
             if gap != closed:
                 mismatches.append((field.p, d, gap, closed))
     assert count > 0
@@ -89,7 +91,7 @@ def test_c3_gap_bounds_maximal_rank():
     for field in FIELDS_3:
         for d1, d2, d3 in admissible_triples(60):
             count += 1
-            small_gap = delta_value(field, d1, d2, d3) <= 1
+            small_gap = syzygy_profile(field, d1, d2, d3).delta <= 1
             maximal = max_rank_in_every_degree(field, (d1, d2), d3)
             if small_gap != maximal:
                 mismatches.append((field.p, d1, d2, d3, small_gap, maximal))
@@ -133,7 +135,7 @@ def test_c4_syzygy_gap_invariant_suite():
         for d1 in range(1, 9):
             for d2 in range(1, 9):
                 for d3 in range(1, 9):
-                    scaled = delta_value(field, p * d1, p * d2, p * d3)
+                    scaled = syzygy_profile(field, p * d1, p * d2, p * d3).delta
                     if scaled != p * profiles[d1, d2, d3].delta:
                         violations.append(("scaling", p, (d1, d2, d3)))
     assert not violations, f"invariant violations: {violations[:10]}"
@@ -180,7 +182,7 @@ def test_c7_kernel_witnesses_all_verify():
     produced = 0
     for field in FIELDS_4:
         for a, b in pairs(2, 25):
-            if not slp_step_check(field, a, b):
+            if not any(step_violations(field, a, b)):
                 continue
             witness = kernel_witness(field, a, b)
             produced += 1

@@ -16,12 +16,12 @@ from lefschetz import (
     PrimeField,
     base_p_digits,
     classify,
-    delta_value,
     han_delta,
     manhattan_check,
-    slp_step_check,
+    step_violations,
+    syzygy_profile,
 )
-from lefschetz.classifier import _odd_sum_distance, step_violations
+from lefschetz.classifier import _odd_sum_distance
 from lefschetz.prime_field import MAX_CHARACTERISTIC
 
 F2 = PrimeField(2)
@@ -52,18 +52,18 @@ class TestDigits:
 
 class TestStepCheck:
     def test_satisfied_example(self):
-        assert not slp_step_check(F3, 4, 4)
+        assert not any(step_violations(F3, 4, 4))
 
     def test_violation_on_unbalanced_pair(self):
-        violations = slp_step_check(F3, 2, 9)
+        violations = tuple(step_violations(F3, 2, 9))
         assert violations and violations[0] == (1, 2)
 
     def test_violation_at_p2(self):
-        assert slp_step_check(F2, 2, 2) == ((1, 3),)
+        assert tuple(step_violations(F2, 2, 2)) == ((1, 3),)
 
     def test_exponent_bounds(self):
         with pytest.raises(ValueError):
-            slp_step_check(F3, 1, 4)
+            next(step_violations(F3, 1, 4))
         with pytest.raises(ValueError):
             next(step_violations(F3, 4, 1))
 
@@ -75,7 +75,6 @@ class TestStepCheck:
                 for b in range(2, 30):
                     found = list(step_violations(field, a, b))
                     assert found == sorted(set(found))
-                    assert slp_step_check(field, a, b) == tuple(found)
 
 
 class TestOddSumDistance:
@@ -116,7 +115,7 @@ class TestManhattan:
                     b = s - a
                     if a < 2 or b < 2:
                         continue
-                    expected = not slp_step_check(field, a, b)
+                    expected = not any(step_violations(field, a, b))
                     assert manhattan_check(field, a, b) == expected, (p, a, b)
                     assert manhattan_check(field, b, a) == expected, (p, b, a)
 
@@ -127,7 +126,7 @@ class TestManhattan:
                 2 * p - 1, 2 * p + 1]
         for a in near:
             for b in near:
-                expected = not slp_step_check(field, a, b)
+                expected = not any(step_violations(field, a, b))
                 assert manhattan_check(field, a, b) == expected, (a, b)
 
 
@@ -236,7 +235,7 @@ class TestHanDelta:
     def test_matches_matrix_gap_at_maximal_characteristic(self):
         field = PrimeField(MAX_CHARACTERISTIC)
         for d in product(range(1, 9), repeat=3):
-            assert han_delta(field, *d) == delta_value(field, *d), d
+            assert han_delta(field, *d) == syzygy_profile(field, *d).delta, d
 
     def test_degree_below_one_rejected(self):
         for d in ((0, 1, 1), (1, -2, 1), (1, 1, 0)):

@@ -688,11 +688,13 @@ def _kernel_too_large(monkeypatch):
 # fails its re-check, and syzygy_profile finds inconsistent degrees.
 @pytest.mark.parametrize("fault, argv, message", [
     pytest.param(_oracle_wrong_on_f3_square,
-                 ["check", "--p", "3", "--d", "2,2", "--mode", "oracle"], "no witness exists",
+                 ["check", "--p", "3", "--d", "2,2", "--mode", "oracle"],
+                 "internal error: RuntimeError: algebra has the strong Lefschetz property",
                  id="check-oracle-wrong"),
     pytest.param(_oracle_wrong_on_f3_square,
                  ["verify", "--primes", "3", "--max", "2", "--modes", "oracle", "--jobs", "1"],
-                 "no witness exists", id="verify-oracle-wrong"),
+                 "internal error: RuntimeError: algebra has the strong Lefschetz property",
+                 id="verify-oracle-wrong"),
     pytest.param(_witness_check_fails, ["check", "--p", "2", "--d", "2,2"],
                  "internal error: RuntimeError: witness", id="check-witness-fails"),
     pytest.param(_kernel_too_large, ["syzgap", "--p", "3", "--d", "2,2,2"],

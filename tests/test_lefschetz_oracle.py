@@ -22,7 +22,7 @@ from lefschetz import (
     lefschetz_oracle,
     max_rank_in_every_degree,
     rank,
-    slp_step_check,
+    step_violations,
 )
 from lefschetz.graded_quotient import top_degree
 from lefschetz.lefschetz_oracle import _candidate_powers
@@ -195,13 +195,13 @@ class TestKernelWitness:
         assert w.monomial == (0, 0) and w.power == 9
 
     def test_slp_algebra_has_no_witness(self):
-        with pytest.raises(ValueError, match="no witness"):
+        with pytest.raises(RuntimeError, match="no witness"):
             kernel_witness(PrimeField(5), 7, 7)
 
     def test_tie_break_takes_lowest_condition(self):
         # a=5, b=7 over GF(5) violates conditions 1 and 3 at level one;
         # the fixed order picks condition 1: monomial x^0, power (1+1)*5
-        violations = slp_step_check(PrimeField(5), 5, 7)
+        violations = tuple(step_violations(PrimeField(5), 5, 7))
         assert violations[0] == (1, 1) and (1, 3) in violations
         w = kernel_witness(PrimeField(5), 5, 7)
         assert w.monomial == (0, 0) and w.power == 10

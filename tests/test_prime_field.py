@@ -90,12 +90,12 @@ class TestBinomial:
         assert wrong == []
         assert binomial_mod_p.cache_info().currsize == 2**16
 
-    def test_lucas_matches_factorials_up_to_200(self):
-        for p in SMALL_PRIMES:
-            f = PrimeField(p)
-            for n in range(201):
-                for k in range(n + 1):
-                    assert binomial_mod_p(n, k, f) == math.comb(n, k) % p, (p, n, k)
+    @pytest.mark.parametrize("p", SMALL_PRIMES + (31, MAX_CHARACTERISTIC))
+    def test_lucas_matches_factorials_up_to_200(self, p):
+        f = PrimeField(p)
+        for n in range(201):
+            for k in range(n + 1):
+                assert binomial_mod_p(n, k, f) == math.comb(n, k) % p, (p, n, k)
 
 
 class TestRank:

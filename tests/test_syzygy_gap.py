@@ -23,7 +23,6 @@ from lefschetz import (
     PrimeField,
     RegionTag,
     SyzygyProfile,
-    delta_value,
     kernel_dimension,
     presentation_matrix,
     region,
@@ -47,21 +46,21 @@ class TestProfile:
         assert (profile.alpha, profile.beta, profile.delta) == (1, 2, 1)
 
     def test_characteristic_dependence(self):
-        assert delta_value(F2, 2, 2, 2) == 2
-        assert delta_value(F3, 2, 2, 2) == 0
+        assert syzygy_profile(F2, 2, 2, 2).delta == 2
+        assert syzygy_profile(F3, 2, 2, 2).delta == 0
 
     def test_more_values(self):
-        assert delta_value(F3, 4, 4, 6) == 0
-        assert delta_value(F2, 3, 3, 3) == 1
+        assert syzygy_profile(F3, 4, 4, 6).delta == 0
+        assert syzygy_profile(F2, 3, 3, 3).delta == 1
         for field in (F2, F3, F5):
             for d in range(1, 7):
-                assert delta_value(field, d, d, 2 * d) == 0
+                assert syzygy_profile(field, d, d, 2 * d).delta == 0
 
     def test_degenerate_generator_set(self):
         # the largest power lies in the ideal of the other two; the gap
         # grows linearly past the balanced region
-        assert delta_value(F2, 1, 1, 5) == 3
-        assert delta_value(F3, 2, 3, 9) == 4
+        assert syzygy_profile(F2, 1, 1, 5).delta == 3
+        assert syzygy_profile(F3, 2, 3, 9).delta == 4
 
     def test_positive_degrees_required(self):
         with pytest.raises(ValueError, match="positive"):
@@ -116,10 +115,11 @@ class TestGapInvariants:
                         d = (d1, d2, d3)
                         if all(x % p == 0 for x in d):
                             continue
-                        value = delta_value(field, *d)
+                        value = syzygy_profile(field, *d).delta
                         drops = all(
-                            delta_value(field, *(x + s * (i == j) for i, x in enumerate(d)))
-                            < value
+                            syzygy_profile(
+                                field, *(x + s * (i == j) for i, x in enumerate(d))
+                            ).delta < value
                             for j in range(3)
                             for s in (1, -1)
                         )
