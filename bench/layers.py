@@ -85,13 +85,11 @@ def _cli():
     return importlib.import_module("lefschetz.cli")
 
 
-def _calls(lz, route: str, workload: str) -> list[tuple]:
-    # The arguments ``verify`` passes to the route (or to kernel_witness),
-    # one tuple per algebra of the workload, in grid order.
+def _calls(lz, workload: str) -> list[tuple]:
+    # The arguments ``verify`` passes to every route, (field, exponents) for
+    # each algebra of the workload, in grid order.
     fields = {p: lz.PrimeField(p) for p in WORKLOADS[workload].primes}
-    if route in ("classify", "is_slp_oracle"):
-        return [(fields[p], ds) for p, ds in WORKLOADS[workload].grid()]
-    return [(fields[p], *ds) for p, ds in WORKLOADS[workload].grid()]
+    return [(fields[p], ds) for p, ds in WORKLOADS[workload].grid()]
 
 
 def _recorded_builds(lz, bench: str, workload: str) -> list[tuple]:
@@ -109,7 +107,7 @@ def _recorded_builds(lz, bench: str, workload: str) -> list[tuple]:
 
     setattr(module, matrix_fn, recording)
     try:
-        for args in _calls(lz, route, workload):
+        for args in _calls(lz, workload):
             getattr(lz, route)(*args)
     finally:
         setattr(module, matrix_fn, build)
@@ -144,7 +142,7 @@ def _time_calls(name: str, calls: list[tuple], count_slp: bool) -> tuple[float, 
     elapsed = time.perf_counter() - started
     if not count_slp:
         return elapsed, {}
-    return elapsed, {"has_slp": sum(getattr(r, "has_slp", r) for r in results)}
+    return elapsed, {"has_slp": sum(r.has_slp for r in results)}
 
 
 def _time_render(report: dict) -> tuple[float, dict]:
@@ -191,13 +189,13 @@ def tasks(bench: str, work: str) -> list[tuple]:
                        for layer in (matrix_fn, "rank")]
         return series
     if bench == "witness":
-        calls = [args for args in _calls(lz, "kernel_witness", "sweep-n2-digits")
-                 if any(lz.step_violations(*args))]
+        calls = [(field, *ds) for field, ds in _calls(lz, "sweep-n2-digits")
+                 if any(lz.step_violations(field, *ds))]
         return [("sweep-n2-digits", "kernel_witness", len(calls), _time_calls,
                  ("kernel_witness", calls, False))]
     if bench == "route":
         return [(w, route, WORKLOADS[w].algebras, _time_calls,
-                 (route, _calls(lz, route, w), True)) for route, w in ROUTES.items()]
+                 (route, _calls(lz, w), True)) for route, w in ROUTES.items()]
     if bench == "render":
         reports = {}
         for w in WORKLOADS:

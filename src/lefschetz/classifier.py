@@ -28,6 +28,8 @@ from typing import Iterator
 from .prime_field import PrimeField
 from .verdict import SlpVerdict
 
+_HAS_SLP, _NO_SLP = SlpVerdict(True), SlpVerdict(False)  # manhattan_check's, built once
+
 
 def base_p_digits(n: int, field: PrimeField) -> tuple[int, ...]:
     """Base-p digits of a positive integer, least significant first."""
@@ -101,7 +103,7 @@ def _odd_sum_distance(point: tuple[int, ...], step: int) -> int:
     return total if parity % 2 else total + flip
 
 
-def manhattan_check(field: PrimeField, a: int, b: int) -> bool:
+def manhattan_check(field: PrimeField, exponents: tuple[int, int]) -> SlpVerdict:
     """Decide the strong Lefschetz property of K[x,y]/(x^a, y^b) by distances.
 
     Tests, for every level i >= 1 and every 1 <= c < min(a, b), whether
@@ -136,6 +138,7 @@ def manhattan_check(field: PrimeField, a: int, b: int) -> bool:
     The level fails iff, for some pair (u, v), that least distance is below
     the pair's budget.
     """
+    a, b = exponents
     _check_two_exponents(a, b)
     p = field.p
     lo, hi = abs(a - b) + 2, a + b - 2
@@ -156,9 +159,9 @@ def manhattan_check(field: PrimeField, a: int, b: int) -> bool:
         for u, cost_u in ((qa, ra), (qa + 1, step - ra)):
             for v, cost_v in ((qb, rb), (qb + 1, step - rb)):
                 if reach[(u + v + 1) & 1] < step - cost_u - cost_v:
-                    return False
+                    return _NO_SLP
         step *= p
-    return True
+    return _HAS_SLP
 
 
 def _two_odd_case(field: PrimeField, a: int, b: int) -> tuple[int | None, str]:

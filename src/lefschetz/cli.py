@@ -36,13 +36,13 @@ from .prime_field import PrimeField
 from .syzygy_gap import region, slp_via_delta, syzygy_profile
 from .verdict import KernelWitness
 
-# mode -> (number of variables it needs, None for any; its SLP verdict). Each
-# route is looked up as this module's name per call, so wrappers set there see it.
+# mode -> (number of variables it needs, None for any; route(field, exponents) -> SlpVerdict).
+# Each route is looked up as this module's name per call, so wrappers set there see it.
 ROUTES = {
-    "oracle": (None, lambda field, ds: is_slp_oracle(field, ds).has_slp),
-    "digits": (None, lambda field, ds: classify(field, ds).has_slp),
-    "manhattan": (2, lambda field, ds: manhattan_check(field, *ds)),
-    "delta": (2, lambda field, ds: slp_via_delta(field, *ds)),
+    "oracle": (None, lambda field, ds: is_slp_oracle(field, ds)),
+    "digits": (None, lambda field, ds: classify(field, ds)),
+    "manhattan": (2, lambda field, ds: manhattan_check(field, ds)),
+    "delta": (2, lambda field, ds: slp_via_delta(field, ds)),
 }
 MODES = tuple(ROUTES)
 FORMATS = ("json", "csv", "text")
@@ -50,15 +50,11 @@ FORMATS = ("json", "csv", "text")
 _CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # Input argparse rejects is a usage error like any other: one
     # ``error:`` line and exit code 2, without the usage block.
     def error(self, message: str):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _split_list(text: str, what: str) -> list[str]:
@@ -66,9 +62,9 @@ def _split_list(text: str, what: str) -> list[str]:
     # so "2,,3" is not read as "2,3".
     items = [item.strip() for item in text.split(",")]
     if not any(items):
-        raise UsageError(f"empty {what}")
+        raise ValueError(f"empty {what}")
     if not all(items):
-        raise UsageError(f"empty item in {what}: {text!r}")
+        raise ValueError(f"empty item in {what}: {text!r}")
     return items
 
 
@@ -77,20 +73,20 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(item) for item in items)
     except ValueError:
-        raise UsageError(f"malformed {what}: {text!r}") from None
+        raise ValueError(f"malformed {what}: {text!r}") from None
 
 
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"malformed {what}: {text!r}") from None
+        raise ValueError(f"malformed {what}: {text!r}") from None
 
 
 def _reject_repeats(values, what: str) -> None:
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
-        raise UsageError(f"repeated {what}s: {', '.join(map(str, repeated))}")
+        raise ValueError(f"repeated {what}s: {', '.join(map(str, repeated))}")
 
 
 def _available_cpus() -> int:
@@ -111,10 +107,10 @@ def _witness_dict(w: KernelWitness) -> dict:
 def _check_modes(modes, n: int) -> None:
     bad = [m for m in modes if m not in ROUTES]
     if bad:
-        raise UsageError(f"unknown modes: {', '.join(bad)}")
+        raise ValueError(f"unknown modes: {', '.join(bad)}")
     misfits = [m for m in modes if ROUTES[m][0] not in (None, n)]
     if misfits:
-        raise UsageError(f"modes {', '.join(misfits)} apply to two variables only (n={n})")
+        raise ValueError(f"modes {', '.join(misfits)} apply to two variables only (n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +121,25 @@ def _cmd_check(args) -> int:
     field = PrimeField(args.p)
     ds = _parse_int_list(args.d, "exponent list")
     if any(d < 2 for d in ds):
-        raise UsageError("exponents must be at least 2")
+        raise ValueError("exponents must be at least 2")
     if args.mode == "all":
         modes = [m for m, (arity, _) in ROUTES.items() if arity in (None, len(ds))]
     else:
         modes = [args.mode]
     _check_modes(modes, len(ds))
-    # digits is decided once: its verdict also gives the printed condition
-    digits = classify(field, ds) if "digits" in modes else None
-    verdicts = {m: digits.has_slp if m == "digits" else ROUTES[m][1](field, ds)
-                for m in modes}
-    if len(set(verdicts.values())) > 1:
-        detail = ", ".join(f"{m}={v}" for m, v in verdicts.items())
+    verdicts = {m: ROUTES[m][1](field, ds) for m in modes}
+    # one yes or no, and one failing power among the routes that give one
+    powers = {v.failing_exponent for v in verdicts.values()} - {None}
+    if len({v.has_slp for v in verdicts.values()}) > 1 or len(powers) > 1:
+        detail = ", ".join(
+            f"{m}={v.has_slp}" + (f" (power {v.failing_exponent})" if v.failing_exponent else "")
+            for m, v in verdicts.items()
+        )
         print(f"internal disagreement between decision routes: {detail}", file=sys.stderr)
         return 2
-    has_slp = next(iter(verdicts.values()))
+    has_slp = next(iter(verdicts.values())).has_slp
     dtext = ",".join(str(d) for d in ds)
-    condition = digits.condition if digits else "via " + "/".join(modes)
+    condition = verdicts["digits"].condition if "digits" in verdicts else "via " + "/".join(modes)
     word = "SLP" if has_slp else "no SLP"
     # built before any output: a witness that fails its check prints no verdict
     w = kernel_witness(field, *ds) if args.witness and not has_slp and len(ds) == 2 else None
@@ -168,7 +166,7 @@ def _cmd_syzgap(args) -> int:
     field = PrimeField(args.p)
     ds = _parse_int_list(args.d, "degree triple")
     if len(ds) != 3:
-        raise UsageError("syzgap needs exactly three degrees, e.g. --d 2,2,2")
+        raise ValueError("syzgap needs exactly three degrees, e.g. --d 2,2,2")
     profile = syzygy_profile(field, *ds)
     tag = region(*ds)
     print(
@@ -187,12 +185,12 @@ def _read_config(path: str) -> dict[str, str]:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, 1):
         line = _CONFIG_COMMENT.split(raw, 1)[0]
         if "#" in line:
-            raise UsageError(
+            raise ValueError(
                 f"{path}:{lineno}: '#' joined to text starts no comment "
                 f"(put whitespace before a comment), got {raw!r}"
             )
@@ -200,12 +198,12 @@ def _read_config(path: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
-            raise UsageError(f"{path}:{lineno}: empty key before '=', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: empty key before '=', got {raw!r}")
         if key in out:
-            raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
         out[key] = value
     return out
 
@@ -215,14 +213,14 @@ def _sweep_config(args) -> dict:
     known = {"primes", "n", "max", "modes", "format", "out", "jobs"}
     unknown = set(file_cfg) - known
     if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     def pick(flag, key):
         return flag if flag is not None else file_cfg.get(key)
 
     primes_text = pick(args.primes, "primes")
     if primes_text is None:
-        raise UsageError("verify needs --primes (or 'primes' in the config file)")
+        raise ValueError("verify needs --primes (or 'primes' in the config file)")
     primes = _parse_int_list(primes_text, "prime list")
     _reject_repeats(primes, "prime")
     fields = {p: PrimeField(p) for p in primes}
@@ -230,16 +228,16 @@ def _sweep_config(args) -> dict:
     n_text = pick(args.n, "n")
     n = _parse_int(n_text, "n") if n_text is not None else 2
     if n < 1:
-        raise UsageError("n must be at least 1")
+        raise ValueError("n must be at least 1")
 
     max_text = pick(args.max, "max")
     max_exponent = _parse_int(max_text, "max exponent") if max_text is not None else 6
     if max_exponent < 2:
-        raise UsageError("max exponent must be at least 2")
+        raise ValueError("max exponent must be at least 2")
 
     modes_text = pick(args.modes, "modes")
     if modes_text is None:
-        raise UsageError("verify needs --modes (or 'modes' in the config file)")
+        raise ValueError("verify needs --modes (or 'modes' in the config file)")
     modes = tuple(_split_list(modes_text, "modes"))
     _reject_repeats(modes, "mode")
     _check_modes(modes, n)
@@ -248,16 +246,16 @@ def _sweep_config(args) -> dict:
     if fmt is None:
         fmt = "text"
     if fmt not in FORMATS:
-        raise UsageError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
+        raise ValueError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
 
     jobs_text = pick(args.jobs, "jobs")
     jobs = _parse_int(jobs_text, "jobs") if jobs_text is not None else _available_cpus()
     if jobs < 1:
-        raise UsageError("jobs must be at least 1")
+        raise ValueError("jobs must be at least 1")
 
     out = pick(args.out, "out")
     if out == "":
-        raise UsageError("empty output path")
+        raise ValueError("empty output path")
 
     return {
         "primes": list(primes),
@@ -300,7 +298,7 @@ def _sweep_share(share) -> tuple[list[str], int, int]:
     slp = disagreements = 0
     for p, ds in itertools.islice(_grid(fields, n, max_exponent), index, None, count):
         field = fields[p]
-        verdicts = {m: ROUTES[m][1](field, ds) for m in modes}
+        verdicts = {m: ROUTES[m][1](field, ds).has_slp for m in modes}
         agree = len(set(verdicts.values())) == 1
         witness = None
         if not agree:
@@ -484,7 +482,7 @@ def _cmd_verify(args) -> int:
     try:
         handle = open(config["out"], "w", encoding="utf-8", newline="") if config["out"] else None
     except OSError as exc:
-        raise UsageError(f"cannot write report to {config['out']}: {exc}") from None
+        raise ValueError(f"cannot write report to {config['out']}: {exc}") from None
     started = time.monotonic()
     payload, disagreements = _sweep(config)
     elapsed = time.monotonic() - started
@@ -497,7 +495,7 @@ def _cmd_verify(args) -> int:
             with handle:
                 handle.write(payload)
         except OSError as exc:
-            raise UsageError(f"cannot write report to {config['out']}: {exc}") from None
+            raise ValueError(f"cannot write report to {config['out']}: {exc}") from None
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0 if disagreements == 0 else 1
 

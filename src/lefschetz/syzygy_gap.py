@@ -18,6 +18,7 @@ import enum
 from dataclasses import dataclass
 
 from .prime_field import MatrixGFp, PrimeField, binomial_row, rank
+from .verdict import SlpVerdict
 
 
 class RegionTag(enum.Enum):
@@ -120,14 +121,17 @@ def region(d1: int, d2: int, d3: int) -> RegionTag:
     return RegionTag.OUTSIDE_L
 
 
-def slp_via_delta(field: PrimeField, d1: int, d2: int) -> bool:
+def slp_via_delta(field: PrimeField, exponents: tuple[int, int]) -> SlpVerdict:
     """Strong Lefschetz property of K[x,y]/(x^d1, y^d2) through syzygy gaps.
 
     Holds iff the gap of (d1, d2, d1 + d2 - 2c) vanishes for every
-    1 <= c < min(d1, d2).
+    1 <= c < min(d1, d2). The first c with a nonzero gap gives the failing
+    exponent d1 + d2 - 2c, as the oracle tries these powers in the same order.
     """
+    d1, d2 = exponents
     if d1 < 2 or d2 < 2:
         raise ValueError("exponents must be at least 2")
-    return all(
-        syzygy_profile(field, d1, d2, d1 + d2 - 2 * c).delta == 0 for c in range(1, min(d1, d2))
-    )
+    for c in range(1, min(d1, d2)):
+        if syzygy_profile(field, d1, d2, d1 + d2 - 2 * c).delta:
+            return SlpVerdict(False, failing_exponent=d1 + d2 - 2 * c)
+    return SlpVerdict(True)

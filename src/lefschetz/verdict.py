@@ -1,4 +1,4 @@
-"""Shared result records for the rank oracle and the closed-form classifier."""
+"""Result records of the decision routes and of the kernel witness."""
 
 from __future__ import annotations
 
@@ -29,12 +29,12 @@ class KernelWitness:
 
 @dataclass(frozen=True)
 class SlpVerdict:
-    """Outcome of a strong-Lefschetz decision.
+    """Outcome of a strong-Lefschetz decision: every route returns one.
 
-    A failing verdict from the rank oracle carries the first power whose
-    multiplication map misses maximal rank; verdicts of the closed-form
-    classification carry a human-readable condition tag instead. A positive
-    verdict never carries failure evidence.
+    A failing verdict of the rank oracle or of the syzygy gap route carries
+    the first power, largest first, whose map misses maximal rank; those of
+    ``classify`` carry a condition tag instead, and ``manhattan_check``'s
+    carry neither. A positive verdict never carries failure evidence.
     """
 
     has_slp: bool

@@ -56,18 +56,21 @@ def test_c1_two_variable_four_way_equivalence():
     mismatches = []
     for field in FIELDS_4:
         for a, b in pairs(2, 40):
+            oracle, delta = is_slp_oracle(field, (a, b)), slp_via_delta(field, (a, b))
             votes = (
-                is_slp_oracle(field, (a, b)).has_slp,
+                oracle.has_slp,
                 not any(step_violations(field, a, b)),
-                manhattan_check(field, a, b),
-                slp_via_delta(field, a, b),
+                manhattan_check(field, (a, b)).has_slp,
+                delta.has_slp,
                 classify(field, (a, b)).has_slp,
             )
-            if len(set(votes)) != 1:
-                mismatches.append((field.p, a, b, votes))
+            # the two routes that give a failing power give the same one
+            if len(set(votes)) != 1 or oracle.failing_exponent != delta.failing_exponent:
+                mismatches.append((field.p, a, b, votes, oracle.failing_exponent,
+                                   delta.failing_exponent))
     assert not mismatches, f"route disagreement: {mismatches[:10]}"
     print("ACCEPTANCE C1 (n=2 oracle, steps, manhattan, delta and classify agree, "
-          "p in 2,3,5,7, a<=b<=40): PASS")
+          "oracle and delta on the failing power, p in 2,3,5,7, a<=b<=40): PASS")
 
 
 def test_c2_delta_criterion_equivalence():

@@ -14,6 +14,7 @@ from conftest import (
 )
 from lefschetz import (
     PrimeField,
+    SlpVerdict,
     base_p_digits,
     classify,
     han_delta,
@@ -66,6 +67,10 @@ class TestStepCheck:
             next(step_violations(F3, 1, 4))
         with pytest.raises(ValueError):
             next(step_violations(F3, 4, 1))
+        # manhattan_check shares the exponent check and takes exactly two
+        for ds in ((1, 4), (4, 1), (2,), (2, 2, 2)):
+            with pytest.raises(ValueError):
+                manhattan_check(F3, ds)
 
     def test_violations_come_in_level_then_condition_order(self):
         # kernel_witness takes the first one yielded
@@ -92,9 +97,9 @@ class TestOddSumDistance:
 
 class TestManhattan:
     def test_examples(self):
-        assert manhattan_check(F3, 2, 2)
-        assert not manhattan_check(F2, 2, 2)
-        assert manhattan_check(F5, 3, 3)
+        assert manhattan_check(F3, (2, 2)).has_slp
+        assert manhattan_check(F2, (2, 2)) == SlpVerdict(False)
+        assert manhattan_check(F5, (3, 3)) == SlpVerdict(True)
 
     def test_closed_form_matches_box_search(self):
         # both orders: the closed form reads |a - b|
@@ -102,7 +107,8 @@ class TestManhattan:
             field = PrimeField(p)
             for a in range(2, 21):
                 for b in range(2, 21):
-                    assert manhattan_check(field, a, b) == manhattan_by_search(p, a, b), (p, a, b)
+                    got = manhattan_check(field, (a, b)).has_slp
+                    assert got == manhattan_by_search(p, a, b), (p, a, b)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 257])
     def test_last_level_boundaries(self, p):
@@ -116,8 +122,8 @@ class TestManhattan:
                     if a < 2 or b < 2:
                         continue
                     expected = not any(step_violations(field, a, b))
-                    assert manhattan_check(field, a, b) == expected, (p, a, b)
-                    assert manhattan_check(field, b, a) == expected, (p, b, a)
+                    assert manhattan_check(field, (a, b)).has_slp == expected, (p, a, b)
+                    assert manhattan_check(field, (b, a)).has_slp == expected, (p, b, a)
 
     def test_maximal_characteristic_near_p(self):
         p = MAX_CHARACTERISTIC
@@ -127,7 +133,7 @@ class TestManhattan:
         for a in near:
             for b in near:
                 expected = not any(step_violations(field, a, b))
-                assert manhattan_check(field, a, b) == expected, (a, b)
+                assert manhattan_check(field, (a, b)).has_slp == expected, (a, b)
 
 
 class TestTwoVariableClassification:

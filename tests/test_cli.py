@@ -95,12 +95,22 @@ class TestCheck:
     def test_route_disagreement_is_refused(self, monkeypatch, capsys):
         # a wrong route makes check refuse a verdict rather than pick one
         real = cli.manhattan_check
-        monkeypatch.setattr(cli, "manhattan_check", lambda field, a, b: not real(field, a, b))
+        monkeypatch.setattr(cli, "manhattan_check",
+                            lambda field, ds: SlpVerdict(not real(field, ds).has_slp))
         code, out, err = run_cli(["check", "--p", "3", "--d", "2,2"], capsys)
         assert code == 2 and out == ""
         assert err.count("\n") == 1
         assert err.startswith("internal disagreement between decision routes: ")
         assert "manhattan=False" in err
+
+    def test_failing_power_disagreement_is_refused(self, monkeypatch, capsys):
+        # the routes agree on "no SLP" but not on the first failing power
+        monkeypatch.setattr(cli, "slp_via_delta",
+                            lambda field, ds: SlpVerdict(False, failing_exponent=3))
+        code, out, err = run_cli(["check", "--p", "2", "--d", "4,5"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("internal disagreement between decision routes: oracle=False (power 5), "
+                       "digits=False, manhattan=False, delta=False (power 3)\n")
 
 
 class TestClassifyCommand:
@@ -453,8 +463,9 @@ class TestVerify:
         # a route made wrong on the square algebras: those entries disagree,
         # get no witness and count in neither slp nor non_slp
         real = cli.manhattan_check
-        monkeypatch.setattr(cli, "manhattan_check",
-                            lambda field, a, b: real(field, a, b) != (a == b))
+        monkeypatch.setattr(
+            cli, "manhattan_check",
+            lambda field, ds: SlpVerdict(real(field, ds).has_slp != (ds[0] == ds[1])))
         code, out, _ = run_cli(["verify", "--primes", "2,3", "--max", "6",
                                 "--modes", "digits,manhattan", "--format", "json", "--jobs", "1"],
                                capsys)

@@ -22,6 +22,7 @@ from conftest import (
 from lefschetz import (
     PrimeField,
     RegionTag,
+    SlpVerdict,
     SyzygyProfile,
     kernel_dimension,
     presentation_matrix,
@@ -159,11 +160,14 @@ class TestHilbertSeriesIdentity:
 
 class TestSlpViaDelta:
     def test_examples(self):
-        assert slp_via_delta(F3, 2, 2)
-        assert not slp_via_delta(F2, 2, 2)
-        assert slp_via_delta(F5, 3, 3)
+        assert slp_via_delta(F3, (2, 2)) == SlpVerdict(True)
+        assert slp_via_delta(F2, (2, 2)) == SlpVerdict(False, failing_exponent=2)
+        assert slp_via_delta(F5, (3, 3)).has_slp
+        # the first failing power, as the oracle reports it
+        assert slp_via_delta(F2, (4, 5)) == SlpVerdict(False, failing_exponent=5)
 
     def test_exponent_bounds(self):
-        with pytest.raises(ValueError):
-            slp_via_delta(F3, 1, 4)
+        for ds in ((1, 4), (2,), (2, 2, 2)):
+            with pytest.raises(ValueError):
+                slp_via_delta(F3, ds)
 
