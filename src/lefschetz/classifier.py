@@ -138,6 +138,8 @@ def manhattan_check(field: PrimeField, exponents: tuple[int, int]) -> SlpVerdict
     The level fails iff, for some pair (u, v), that least distance is below
     the pair's budget.
     """
+    if len(exponents) != 2:
+        raise ValueError(f"manhattan_check takes two exponents, got {exponents}")
     a, b = exponents
     _check_two_exponents(a, b)
     p = field.p

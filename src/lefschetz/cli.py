@@ -10,12 +10,13 @@ wlp       weak Lefschetz property by the rank oracle
 syzgap    syzygy gap profile (alpha, beta, gap, region) of a degree triple
 verify    sweep a grid of algebras with several decision routes and report
           agreement (exit 0 iff no disagreements); supports json, csv and
-          text output, a key = value config file, and parallel evaluation
+          text output, options from an @FILE, and parallel evaluation
 
 Report data is byte-identical across runs for identical configuration; the
 elapsed time goes to stderr only. Exit code 2 also covers a failed internal
-check, such as a kernel witness or syzygy degrees that do not verify: one
-``error:`` line goes to stderr and no verdict line is printed.
+check, such as routes that disagree on one algebra in ``check``, or a kernel
+witness or syzygy degrees that do not verify: one ``error:`` line goes to
+stderr and no verdict line is printed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import itertools
 import json
 import multiprocessing
 import os
-import re
 import sys
 import time
 from math import comb
@@ -46,8 +46,6 @@ ROUTES = {
 }
 MODES = tuple(ROUTES)
 FORMATS = ("json", "csv", "text")
-# a config comment starts at a '#' that opens the line or follows whitespace
-_CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +53,16 @@ class _Parser(argparse.ArgumentParser):
     # ``error:`` line and exit code 2, without the usage block.
     def error(self, message: str):
         raise ValueError(message)
+
+    # An @FILE of verify holds one option a line, "--max 6" or "--max=6":
+    # the value is the rest of the line, blanks around it stripped, so a
+    # path may hold spaces and a '#' after a value is part of it. Blank
+    # lines and lines whose first non-blank character is '#' are skipped.
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        line = arg_line.strip()
+        if not line or line.startswith("#"):
+            return []
+        return line.split(None, 1)
 
 
 def _split_list(text: str, what: str) -> list[str]:
@@ -72,13 +80,6 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     items = _split_list(text, what)
     try:
         return tuple(int(item) for item in items)
-    except ValueError:
-        raise ValueError(f"malformed {what}: {text!r}") from None
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
     except ValueError:
         raise ValueError(f"malformed {what}: {text!r}") from None
 
@@ -135,8 +136,7 @@ def _cmd_check(args) -> int:
             f"{m}={v.has_slp}" + (f" (power {v.failing_exponent})" if v.failing_exponent else "")
             for m, v in verdicts.items()
         )
-        print(f"internal disagreement between decision routes: {detail}", file=sys.stderr)
-        return 2
+        raise RuntimeError(f"internal disagreement between decision routes: {detail}")
     has_slp = next(iter(verdicts.values())).has_slp
     dtext = ",".join(str(d) for d in ds)
     condition = verdicts["digits"].condition if "digits" in verdicts else "via " + "/".join(modes)
@@ -180,91 +180,32 @@ def _cmd_syzgap(args) -> int:
 # verify
 
 
-def _read_config(path: str) -> dict[str, str]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from None
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, 1):
-        line = _CONFIG_COMMENT.split(raw, 1)[0]
-        if "#" in line:
-            raise ValueError(
-                f"{path}:{lineno}: '#' joined to text starts no comment "
-                f"(put whitespace before a comment), got {raw!r}"
-            )
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ValueError(f"{path}:{lineno}: empty key before '=', got {raw!r}")
-        if key in out:
-            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-        out[key] = value
-    return out
-
-
 def _sweep_config(args) -> dict:
-    file_cfg = _read_config(args.config) if args.config else {}
-    known = {"primes", "n", "max", "modes", "format", "out", "jobs"}
-    unknown = set(file_cfg) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def pick(flag, key):
-        return flag if flag is not None else file_cfg.get(key)
-
-    primes_text = pick(args.primes, "primes")
-    if primes_text is None:
-        raise ValueError("verify needs --primes (or 'primes' in the config file)")
-    primes = _parse_int_list(primes_text, "prime list")
+    # argparse has made the types, defaults, choices and required flags;
+    # these are the checks it cannot make.
+    primes = _parse_int_list(args.primes, "prime list")
     _reject_repeats(primes, "prime")
     fields = {p: PrimeField(p) for p in primes}
-
-    n_text = pick(args.n, "n")
-    n = _parse_int(n_text, "n") if n_text is not None else 2
-    if n < 1:
+    if args.n < 1:
         raise ValueError("n must be at least 1")
-
-    max_text = pick(args.max, "max")
-    max_exponent = _parse_int(max_text, "max exponent") if max_text is not None else 6
-    if max_exponent < 2:
+    if args.max < 2:
         raise ValueError("max exponent must be at least 2")
-
-    modes_text = pick(args.modes, "modes")
-    if modes_text is None:
-        raise ValueError("verify needs --modes (or 'modes' in the config file)")
-    modes = tuple(_split_list(modes_text, "modes"))
+    modes = tuple(_split_list(args.modes, "modes"))
     _reject_repeats(modes, "mode")
-    _check_modes(modes, n)
-
-    fmt = pick(args.format, "format")
-    if fmt is None:
-        fmt = "text"
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
-
-    jobs_text = pick(args.jobs, "jobs")
-    jobs = _parse_int(jobs_text, "jobs") if jobs_text is not None else _available_cpus()
+    _check_modes(modes, args.n)
+    jobs = _available_cpus() if args.jobs is None else args.jobs
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-
-    out = pick(args.out, "out")
-    if out == "":
+    if args.out == "":
         raise ValueError("empty output path")
-
     return {
         "primes": list(primes),
         "fields": fields,
-        "n": n,
-        "max_exponent": max_exponent,
+        "n": args.n,
+        "max_exponent": args.max,
         "modes": list(modes),
-        "format": fmt,
-        "out": out,
+        "format": args.format,
+        "out": args.out,
         "jobs": jobs,
     }
 
@@ -533,15 +474,23 @@ def _build_parser() -> argparse.ArgumentParser:
     syz.add_argument("--d", required=True, help="three degrees, e.g. 2,2,2")
     syz.set_defaults(func=_cmd_syzgap)
 
-    verify = sub.add_parser("verify", help="sweep a grid and cross-verify routes")
-    verify.add_argument("--primes", help="comma-separated primes, e.g. 2,3,5")
-    verify.add_argument("--n", help="number of variables (default 2)")
-    verify.add_argument("--max", help="largest exponent per variable (default 6)")
-    verify.add_argument("--modes", help=f"subset of {','.join(MODES)}")
-    verify.add_argument("--format", help="json, csv or text (default text)")
+    verify = sub.add_parser(
+        "verify", help="sweep a grid and cross-verify routes", fromfile_prefix_chars="@",
+        description="Sweep a grid of algebras and cross-verify decision routes. An argument "
+        "@FILE reads options from FILE, one a line ('--max 6' or '--max=6'); blank lines "
+        "and lines starting with '#' are skipped, and later arguments override earlier ones.",
+    )
+    verify.add_argument("--primes", required=True, help="comma-separated primes, e.g. 2,3,5")
+    verify.add_argument("--n", type=int, default=2,
+                        help="number of variables (default %(default)s)")
+    verify.add_argument("--max", type=int, default=6,
+                        help="largest exponent per variable (default %(default)s)")
+    verify.add_argument("--modes", required=True, help=f"subset of {','.join(MODES)}")
+    verify.add_argument("--format", default="text", choices=FORMATS,
+                        help="report format (default %(default)s)")
     verify.add_argument("--out", help="write the report to FILE instead of stdout")
-    verify.add_argument("--jobs", help="parallel workers (default: available processors)")
-    verify.add_argument("--config", help="key = value file; flags override it")
+    verify.add_argument("--jobs", type=int,
+                        help="parallel workers (default: available processors)")
     verify.set_defaults(func=_cmd_verify)
 
     return parser

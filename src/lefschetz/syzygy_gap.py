@@ -128,6 +128,8 @@ def slp_via_delta(field: PrimeField, exponents: tuple[int, int]) -> SlpVerdict:
     1 <= c < min(d1, d2). The first c with a nonzero gap gives the failing
     exponent d1 + d2 - 2c, as the oracle tries these powers in the same order.
     """
+    if len(exponents) != 2:
+        raise ValueError(f"slp_via_delta takes two exponents, got {exponents}")
     d1, d2 = exponents
     if d1 < 2 or d2 < 2:
         raise ValueError("exponents must be at least 2")

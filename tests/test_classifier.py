@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations, product
 
 import pytest
@@ -68,8 +69,12 @@ class TestStepCheck:
         with pytest.raises(ValueError):
             next(step_violations(F3, 4, 1))
         # manhattan_check shares the exponent check and takes exactly two
-        for ds in ((1, 4), (4, 1), (2,), (2, 2, 2)):
+        for ds in ((1, 4), (4, 1)):
             with pytest.raises(ValueError):
+                manhattan_check(F3, ds)
+        for ds in ((2,), (2, 2, 2)):
+            with pytest.raises(ValueError, match=rf"^manhattan_check takes two exponents, "
+                                                 rf"got {re.escape(str(ds))}$"):
                 manhattan_check(F3, ds)
 
     def test_violations_come_in_level_then_condition_order(self):

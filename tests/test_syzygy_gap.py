@@ -9,6 +9,7 @@ a conftest reference, and the invariants C4 does not check.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -167,7 +168,10 @@ class TestSlpViaDelta:
         assert slp_via_delta(F2, (4, 5)) == SlpVerdict(False, failing_exponent=5)
 
     def test_exponent_bounds(self):
-        for ds in ((1, 4), (2,), (2, 2, 2)):
-            with pytest.raises(ValueError):
+        with pytest.raises(ValueError):
+            slp_via_delta(F3, (1, 4))
+        for ds in ((2,), (2, 2, 2)):
+            with pytest.raises(ValueError, match=rf"^slp_via_delta takes two exponents, "
+                                                 rf"got {re.escape(str(ds))}$"):
                 slp_via_delta(F3, ds)
 
