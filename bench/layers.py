@@ -2,7 +2,7 @@
 
     python3 bench/layers.py [BENCH ...]
 
-BENCH is one of the benchmarks below; no names runs all six. Every grid,
+BENCH is one of the benchmarks below; no names runs all seven. Every grid,
 mode list, ``verify`` argument list and report digest comes from
 ``sweepbench/checks.py``.
 
@@ -19,7 +19,12 @@ mode list, ``verify`` argument list and report digest comes from
   must have the recorded sha256;
 * ``verify``: a whole ``verify`` of each workload, from argument parsing to
   the written report, at ``--jobs 1`` and at ``--jobs N`` (N the processors
-  this process may use); each report must have its recorded sha256.
+  this process may use); each report must have its recorded sha256;
+* ``import``: ``import lefschetz.cli`` in a new interpreter, on no
+  workload: the sum of the cumulative ``-X importtime`` figures of the
+  imports that statement starts, what every command pays before it runs;
+  the sorted names of the modules it adds to ``sys.modules`` must be the
+  same in every sample.
 
 Each layer is sampled ``REPEATS`` times, every sample in a fresh spawned
 interpreter, so caches start empty as in one sweep. A round takes one
@@ -169,6 +174,23 @@ def _time_verify(argv: list[str], out: str) -> tuple[float, dict]:
     return elapsed, {"sha256": hashlib.sha256(Path(out).read_bytes()).hexdigest()}
 
 
+def _time_import() -> tuple[float, dict]:
+    # A new interpreter of its own: the sampler's has loaded much of what
+    # lefschetz.cli imports. It may write and read bytecode, as sweepbench's
+    # children do. The marker line on stderr ends the imports of start-up;
+    # each top-level row after it (one blank before the name) is an import
+    # that `import lefschetz.cli` started, with its cumulative us.
+    probe = ("import sys; before = set(sys.modules); print('-', file=sys.stderr); "
+             "import lefschetz.cli; print(*sorted(set(sys.modules) - before))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", probe],
+                          env={**env, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    rows = [row.split("|") for row in done.stderr.split("-\n", 1)[1].splitlines()]
+    micros = sum(int(cumulative) for _, cumulative, name in rows if not name.startswith("  "))
+    return micros / 1e6, {"modules": done.stdout.split()}
+
+
 def in_fresh_interpreter(fn, *args):
     """``fn(*args)`` in a single-worker spawned pool: a new interpreter each call."""
     context = multiprocessing.get_context("spawn")
@@ -196,6 +218,9 @@ def tasks(bench: str, work: str) -> list[tuple]:
     if bench == "route":
         return [(w, route, WORKLOADS[w].algebras, _time_calls,
                  (route, _calls(lz, w), True)) for route, w in ROUTES.items()]
+    if bench == "import":
+        _time_import()  # compiles the bytecode that every sample reads
+        return [("start-up", "lefschetz.cli", 1, _time_import, ())]
     if bench == "render":
         reports = {}
         for w in WORKLOADS:
@@ -270,20 +295,20 @@ def run(bench: str) -> None:
         outcome = outcomes[w, layer][0]
         if any(o != outcome for o in outcomes[w, layer]):
             sys.exit(f"{bench} {key}: the outcomes differ between interpreters")
-        if outcome.get("sha256", WORKLOADS[w].digest) != WORKLOADS[w].digest:
+        if "sha256" in outcome and outcome["sha256"] != WORKLOADS[w].digest:
             sys.exit(f"{bench} {key}: report differs from the recorded sha256")
         stats = layers[key] = {**outcome, **summary(samples[w, layer], calls)}
         print(f"{bench} {key}: median {stats['median_s']} s [{stats['q1_s']}-{stats['q3_s']}] "
               f"over {calls} calls ({stats['per_call_us']} us per call), "
               f"{REPEATS} fresh interpreters")
     # a new file's header names each workload by its verify arguments
-    grids = {w: WORKLOADS[w].argv(1, "REPORT")[1:-4] for w, *_ in series}
+    grids = {w: WORKLOADS[w].argv(1, "REPORT")[1:-4] for w, *_ in series if w in WORKLOADS}
     append_run(ROOT / "bench" / f"BENCH_{bench}.json",
                {"benchmark": f"{bench}_layer", "grids": grids},
                {"repeats": REPEATS, "layers": layers})
 
 
-BENCHES = ("oracle", "syzygy", "witness", "route", "render", "verify")
+BENCHES = ("oracle", "syzygy", "witness", "route", "render", "verify", "import")
 
 
 def main(argv=None) -> int:

@@ -21,9 +21,7 @@ level p^k. It is the only caller of that distance.
 All functions are pure; everything is exact integer arithmetic.
 """
 
-from __future__ import annotations
-
-from typing import Iterator
+from collections.abc import Iterator
 
 from .prime_field import PrimeField
 from .verdict import SlpVerdict

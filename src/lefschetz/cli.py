@@ -19,12 +19,9 @@ witness or syzygy degrees that do not verify: one ``error:`` line goes to
 stderr and no verdict line is printed.
 """
 
-from __future__ import annotations
-
 import argparse
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -58,11 +55,25 @@ class _Parser(argparse.ArgumentParser):
     # the value is the rest of the line, blanks around it stripped, so a
     # path may hold spaces and a '#' after a value is part of it. Blank
     # lines and lines whose first non-blank character is '#' are skipped.
-    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
-        line = arg_line.strip()
-        if not line or line.startswith("#"):
-            return []
-        return line.split(None, 1)
+    # The file is read as UTF-8 on every Python (argparse's own reader takes
+    # the locale's encoding before 3.12); one that is not is refused by name.
+    def _read_args_from_files(self, arg_strings: list[str]) -> list[str]:
+        args = []
+        for arg in arg_strings:
+            if not arg.startswith("@"):
+                args.append(arg)
+                continue
+            try:
+                with open(arg[1:], encoding="utf-8") as handle:
+                    lines = [line.strip() for line in handle.read().splitlines()]
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"cannot read {arg[1:]}: not UTF-8 ({exc.reason})") from None
+            except OSError as exc:
+                raise ValueError(str(exc)) from None
+            # an @FILE may name another, as with argparse's reader
+            args += self._read_args_from_files(
+                [a for line in lines if line[:1] not in ("", "#") for a in line.split(None, 1)])
+        return args
 
 
 def _split_list(text: str, what: str) -> list[str]:
@@ -277,6 +288,7 @@ def _sweep(config) -> tuple[str, int]:
     # More workers than processors only add interpreters.
     jobs = min(config["jobs"], size, _available_cpus())
     if jobs > 1:
+        import multiprocessing  # only here: a sweep at one job never loads it
         count = _SHARES_PER_WORKER * jobs
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_sweep_share, [(spec, i, count) for i in range(count)],

@@ -16,8 +16,6 @@ row. The basis itself is never listed: a matrix is built from the prefixes
 alone, and the last two variables cost one window of binomials per block.
 """
 
-from __future__ import annotations
-
 from operator import add, itemgetter
 
 from .prime_field import MatrixGFp, PrimeField, binomial_mod_p

@@ -22,8 +22,6 @@ monomial annihilated by an explicit power, re-verified by direct expansion
 before it is returned.
 """
 
-from __future__ import annotations
-
 from .classifier import step_violations
 from .graded_quotient import mult_matrix, top_degree
 from .prime_field import PrimeField, binomial_mod_p, rank

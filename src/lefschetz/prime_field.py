@@ -7,12 +7,10 @@ by Gaussian elimination on the columns in Python integers, so it is exact
 for every characteristic.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
 from math import comb, isqrt
-from typing import Sequence
 
 # Bounds the trial division in the primality check at construction.
 MAX_CHARACTERISTIC = 2**31 - 1
@@ -29,32 +27,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "p")):
     """The prime field GF(p). Primality is verified at construction.
 
     Instances are immutable and safe to share between threads or processes.
     """
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
+    def __new__(cls, p: int):
+        if not isinstance(p, int) or isinstance(p, bool):
             raise TypeError("characteristic must be an integer")
-        if self.p > MAX_CHARACTERISTIC:
+        if p > MAX_CHARACTERISTIC:
             raise ValueError(
-                f"characteristic {self.p} exceeds {MAX_CHARACTERISTIC}; "
+                f"characteristic {p} exceeds {MAX_CHARACTERISTIC}; "
                 "primality is checked by trial division"
             )
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p)
 
 
 Column = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class MatrixGFp:
+class MatrixGFp(namedtuple("MatrixGFp", "rows columns")):
     """Sparse matrix over GF(p), stored by columns, immutable.
 
     Each column is a tuple of ``(row, entry)`` pairs holding the nonzero
@@ -64,12 +61,12 @@ class MatrixGFp:
     :func:`rank`); the constructor checks the number of rows only.
     """
 
-    rows: int
-    columns: tuple[Column, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rows < 0:
+    def __new__(cls, rows: int, columns: tuple[Column, ...]):
+        if rows < 0:
             raise ValueError("the number of rows must be non-negative")
+        return super().__new__(cls, rows, columns)
 
     @property
     def cols(self) -> int:

@@ -12,10 +12,8 @@ the midpoint of the generator degrees and derives beta from the degree
 relation.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .prime_field import MatrixGFp, PrimeField, binomial_row, rank
 from .verdict import SlpVerdict
@@ -30,16 +28,15 @@ class RegionTag(enum.Enum):
     OUTSIDE_L = "outside_L"
 
 
-@dataclass(frozen=True)
-class SyzygyProfile:
+class SyzygyProfile(namedtuple("SyzygyProfile", "alpha beta")):
     """Generator degrees of the relation module, smaller one first."""
 
-    alpha: int
-    beta: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.alpha > self.beta:
+    def __new__(cls, alpha: int, beta: int):
+        if alpha > beta:
             raise ValueError("alpha must not exceed beta")
+        return super().__new__(cls, alpha, beta)
 
     @property
     def delta(self) -> int:

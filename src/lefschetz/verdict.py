@@ -1,12 +1,9 @@
 """Result records of the decision routes and of the kernel witness."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class KernelWitness:
+class KernelWitness(namedtuple("KernelWitness", "monomial power")):
     """A monomial annihilated by a power of the sum of the variables.
 
     The monomial is nonzero in the algebra, the graded piece it lives in is
@@ -15,8 +12,7 @@ class KernelWitness:
     multiplication map, hence failure of the strong Lefschetz property.
     """
 
-    monomial: tuple[int, ...]
-    power: int
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -27,8 +23,7 @@ class KernelWitness:
         return self.degree + self.power
 
 
-@dataclass(frozen=True)
-class SlpVerdict:
+class SlpVerdict(namedtuple("SlpVerdict", "has_slp failing_exponent condition")):
     """Outcome of a strong-Lefschetz decision: every route returns one.
 
     A failing verdict of the rank oracle or of the syzygy gap route carries
@@ -37,10 +32,10 @@ class SlpVerdict:
     carry neither. A positive verdict never carries failure evidence.
     """
 
-    has_slp: bool
-    failing_exponent: int | None = None
-    condition: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.has_slp and self.failing_exponent is not None:
+    def __new__(cls, has_slp: bool, failing_exponent: int | None = None,
+                condition: str | None = None):
+        if has_slp and failing_exponent is not None:
             raise ValueError("a positive verdict cannot carry failure evidence")
+        return super().__new__(cls, has_slp, failing_exponent, condition)

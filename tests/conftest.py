@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import pickle
 from itertools import combinations, permutations, product
+
+import pytest
 
 from lefschetz import (
     MatrixGFp,
@@ -301,3 +304,38 @@ def power_times_monomial_is_zero(p: int, d1: int, d2: int, e1: int, e2: int, pow
         if math.comb(power, j) % p and e1 + j < d1 and e2 + power - j < d2:
             return False
     return True
+
+
+def _forged_and_unpickled(cls, *args):
+    # tuple.__new__ builds the record without its checks; unpickling it
+    # (as verify --jobs N does with the fields it sends its workers) must
+    # run them
+    return pickle.loads(pickle.dumps(tuple.__new__(cls, args)))
+
+
+# The ways a record is built, each called as build(cls, *fields).
+RECORD_BUILDS = [
+    pytest.param(lambda cls, *args: cls(*args), id="positional"),
+    pytest.param(lambda cls, *args: cls(**dict(zip(cls._fields, args))), id="keyword"),
+    pytest.param(_forged_and_unpickled, id="pickle"),
+]
+
+
+def check_record(build, cls, fields: tuple, refused: tuple | None = None, message: str = ""):
+    """The contract of a result record, built by ``build`` as in ``RECORD_BUILDS``.
+
+    A record of ``fields`` equals, and hashes as, another of the same
+    fields and the plain tuple of them; no attribute can be assigned; and
+    the constructor refuses ``refused`` with a ValueError matching
+    ``message`` however the record is built.
+    """
+    record = build(cls, *fields)
+    assert type(record) is cls
+    assert record == cls(*fields) == fields
+    assert hash(record) == hash(cls(*fields)) == hash(fields)
+    for name in (*cls._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    if refused is not None:
+        with pytest.raises(ValueError, match=message):
+            build(cls, *refused)

@@ -8,12 +8,15 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from conftest import (
+    RECORD_BUILDS,
+    check_record,
     count_monomials,
     max_rank_by_definition,
     power_times_monomial_is_zero,
     slp_oracle_over_every_degree,
 )
 from lefschetz import (
+    KernelWitness,
     PrimeField,
     SlpVerdict,
     is_slp_oracle,
@@ -75,6 +78,11 @@ class TestSlpOracle:
     def test_positive_verdict_carries_no_failing_power(self):
         with pytest.raises(ValueError, match="failure evidence"):
             SlpVerdict(True, failing_exponent=3)
+
+    @pytest.mark.parametrize("build", RECORD_BUILDS)
+    def test_record_contract(self, build):
+        check_record(build, SlpVerdict, (False, 3, None), (True, 3, None), "failure evidence")
+        assert SlpVerdict(False) == (False, None, None)
 
     def test_first_failing_power_is_reported(self):
         # candidate powers descend from a+b-2; for (4,5) over GF(2) the top
@@ -197,6 +205,10 @@ class TestKernelWitness:
     def test_slp_algebra_has_no_witness(self):
         with pytest.raises(RuntimeError, match="no witness"):
             kernel_witness(PrimeField(5), 7, 7)
+
+    @pytest.mark.parametrize("build", RECORD_BUILDS)
+    def test_record_contract(self, build):
+        check_record(build, KernelWitness, ((0, 0), 2))
 
     def test_tie_break_takes_lowest_condition(self):
         # a=5, b=7 over GF(5) violates conditions 1 and 3 at level one;

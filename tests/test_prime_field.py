@@ -8,7 +8,9 @@ import random
 import pytest
 
 from conftest import (
+    RECORD_BUILDS,
     SMALL_PRIMES,
+    check_record,
     matrix_from_rows,
     rank_by_dense_walk,
     rank_by_minors,
@@ -43,6 +45,11 @@ class TestPrimeField:
     def test_non_integer_rejected(self):
         with pytest.raises(TypeError):
             PrimeField(3.0)
+
+    @pytest.mark.parametrize("build", RECORD_BUILDS)
+    def test_record_contract(self, build):
+        check_record(build, PrimeField, (5,), (4,), "not prime")
+        check_record(build, MatrixGFp, (2, (((0, 1),),)), (-1, ()), "non-negative")
 
 
 class TestBinomial:

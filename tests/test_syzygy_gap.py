@@ -15,7 +15,9 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from conftest import (
+    RECORD_BUILDS,
     SMALL_PRIMES,
+    check_record,
     hilbert_series_identity,
     presentation_matrix_by_lookup,
     syzygy_profile_scan,
@@ -71,6 +73,10 @@ class TestProfile:
     def test_alpha_above_beta_rejected(self):
         with pytest.raises(ValueError, match="alpha must not exceed beta"):
             SyzygyProfile(3, 2)
+
+    @pytest.mark.parametrize("build", RECORD_BUILDS)
+    def test_record_contract(self, build):
+        check_record(build, SyzygyProfile, (2, 3), (3, 2), "alpha must not exceed beta")
 
     def test_scan_agrees_everywhere_small(self):
         for p in (2, 3, 5):
