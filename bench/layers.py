@@ -15,8 +15,11 @@ mode list, ``verify`` argument list and report digest comes from
   ``sweep-n2-digits``;
 * ``route``: each decision route as ``verify`` calls it, on the workload
   that runs it, with the number of algebras it accepts;
-* ``render``: ``cli.render_json`` on each workload's report, whose bytes
-  must have the recorded sha256;
+* ``render``: ``verify``'s sweep of each workload at ``--jobs 1`` with
+  every decision (each route and ``kernel_witness``) replayed from a record
+  of the same sweep, which leaves the path of its entries (agreement,
+  witness choice, rendering) and the report's assembly; each report must
+  have the recorded sha256;
 * ``verify``: a whole ``verify`` of each workload, from argument parsing to
   the written report, at ``--jobs 1`` and at ``--jobs N`` (N the processors
   this process may use); each report must have its recorded sha256;
@@ -68,6 +71,8 @@ ROUTES = {
     "slp_via_delta": "sweep-n2",
     "is_slp_oracle": "sweep-n3-largep",
 }
+# the functions cli calls to decide an algebra
+DECISIONS = (*ROUTES, "kernel_witness")
 # matrix benchmark -> (module, matrix function, route that calls it, its workloads)
 MATRICES = {
     "oracle": ("lefschetz_oracle", "mult_matrix", "is_slp_oracle",
@@ -95,6 +100,33 @@ def _calls(lz, workload: str) -> list[tuple]:
     # each algebra of the workload, in grid order.
     fields = {p: lz.PrimeField(p) for p in WORKLOADS[workload].primes}
     return [(fields[p], ds) for p, ds in WORKLOADS[workload].grid()]
+
+
+def _verify_config(cli, argv: list[str]) -> dict:
+    return cli._sweep_config(cli._build_parser().parse_args(argv))
+
+
+def _recorded_decisions(cli, argv: list[str]) -> dict:
+    # What each decision function returns while ``verify`` sweeps in this
+    # process, keyed by its name, the prime and its other arguments;
+    # recorded by wrapping the names that cli looks up per call.
+    recorded = {}
+    saved = {name: getattr(cli, name) for name in DECISIONS}
+
+    def recording(name, fn):
+        def call(field, *args):
+            recorded[name, field.p, args] = result = fn(field, *args)
+            return result
+        return call
+
+    for name, fn in saved.items():
+        setattr(cli, name, recording(name, fn))
+    try:
+        cli._sweep(_verify_config(cli, argv))
+    finally:
+        for name, fn in saved.items():
+            setattr(cli, name, fn)
+    return recorded
 
 
 def _recorded_builds(lz, bench: str, workload: str) -> list[tuple]:
@@ -150,10 +182,14 @@ def _time_calls(name: str, calls: list[tuple], count_slp: bool) -> tuple[float, 
     return elapsed, {"has_slp": sum(r.has_slp for r in results)}
 
 
-def _time_render(report: dict) -> tuple[float, dict]:
+def _time_render(argv: list[str], recorded: dict) -> tuple[float, dict]:
+    # The sweep at one job, every decision looked up in the record.
     cli = _cli()
+    config = _verify_config(cli, argv)
+    for name in DECISIONS:
+        setattr(cli, name, lambda field, *args, name=name: recorded[name, field.p, args])
     started = time.perf_counter()
-    text = cli.render_json(report)
+    text, _ = cli._sweep(config)
     elapsed = time.perf_counter() - started
     return elapsed, {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
@@ -222,11 +258,10 @@ def tasks(bench: str, work: str) -> list[tuple]:
         _time_import()  # compiles the bytecode that every sample reads
         return [("start-up", "lefschetz.cli", 1, _time_import, ())]
     if bench == "render":
-        reports = {}
-        for w in WORKLOADS:
-            in_fresh_interpreter(_time_verify, WORKLOADS[w].argv(1, out), out)
-            reports[w] = json.loads(Path(out).read_text())
-        return [(w, "render_json", 1, _time_render, (reports[w],)) for w in WORKLOADS]
+        cli = _cli()
+        argvs = {w: WORKLOADS[w].argv(1, out) for w in WORKLOADS}
+        return [(w, "_sweep replayed", WORKLOADS[w].algebras, _time_render,
+                 (argvs[w], _recorded_decisions(cli, argvs[w]))) for w in WORKLOADS]
     return [(w, f"--jobs {jobs}", 1, _time_verify, (WORKLOADS[w].argv(jobs, out), out))
             for w in WORKLOADS for jobs in sorted({1, CORES})]
 

@@ -21,17 +21,16 @@ stderr and no verdict line is printed.
 
 import argparse
 import itertools
-import json
 import os
 import sys
 import time
 from math import comb
+from types import SimpleNamespace
 
 from .classifier import classify, manhattan_check
 from .lefschetz_oracle import is_slp_oracle, is_wlp_oracle, kernel_witness
 from .prime_field import PrimeField
 from .syzygy_gap import region, slp_via_delta, syzygy_profile
-from .verdict import KernelWitness
 
 # mode -> (number of variables it needs, None for any; route(field, exponents) -> SlpVerdict).
 # Each route is looked up as this module's name per call, so wrappers set there see it.
@@ -106,14 +105,6 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
-
-
-def _witness_dict(w: KernelWitness) -> dict:
-    return {
-        "monomial": list(w.monomial),
-        "power": w.power,
-        "target_degree": w.target_degree,
-    }
 
 
 def _check_modes(modes, n: int) -> None:
@@ -245,21 +236,27 @@ def _sweep_share(share) -> tuple[list[str], int, int]:
     share samples all of it.
     """
     (fields, n, max_exponent, modes, fmt), index, count = share
-    entry = _RENDERERS[fmt][0]
+    maker = _RENDERERS[fmt][0]
+    # the two shapes of the share's entries: without a witness, and with a
+    # two-variable one
+    plain = maker(n, modes, None)
+    witnessed = maker(n, modes, 2) if n == 2 else None
+    routes = [ROUTES[m][1] for m in modes]
     texts = []
     slp = disagreements = 0
     for p, ds in itertools.islice(_grid(fields, n, max_exponent), index, None, count):
         field = fields[p]
-        verdicts = {m: ROUTES[m][1](field, ds).has_slp for m in modes}
-        agree = len(set(verdicts.values())) == 1
-        witness = None
+        verdicts = [route(field, ds).has_slp for route in routes]
+        first = verdicts[0]
+        agree = verdicts.count(first) == len(verdicts)
         if not agree:
             disagreements += 1
-        elif verdicts[modes[0]]:
+        elif first:
             slp += 1
-        elif n == 2:
-            witness = _witness_dict(kernel_witness(field, *ds))
-        texts.append(entry(p, ds, verdicts, agree, witness))
+        elif witnessed:
+            texts.append(witnessed(p, ds, verdicts, True, kernel_witness(field, *ds)))
+            continue
+        texts.append(plain(p, ds, verdicts, agree, None))
     return texts, slp, disagreements
 
 
@@ -306,85 +303,102 @@ def _sweep(config) -> tuple[str, int]:
     return _RENDERERS[config["format"]][1](reported, texts, summary), disagreements
 
 
-# Each format is an entry renderer, called as (p, d, verdicts, agree,
-# witness) with the witness a dict as _witness_dict builds it or None, and an
-# assembler that wraps the entry texts, in grid order, in the report's head
-# and tail. Sweeps and render_* both build their reports from these pieces.
+# Each format is an entry maker and an assembler. The maker takes an entry's
+# shape (n exponents; its modes, in the order it holds their verdicts; the
+# length of its witness monomial, None for no witness), builds that shape's
+# format string once, and returns the renderer (p, d, verdicts, agree,
+# witness) -> text, the witness a record with monomial, power and
+# target_degree such as a KernelWitness. Each entry is one template % values,
+# every value written by %s. The assembler wraps the entry texts, in grid
+# order, in the report's head and tail. Sweeps and render_* both use these.
+# Mode names are identifiers from MODES, so no name needs escaping.
 
 
-def _json_ints(values, pad: str) -> str:
-    # A list of ints as json.dumps(indent=2) writes it, items indented by pad.
-    if not values:
+def _json_list(count: int, pad: str) -> str:
+    # A list of count %s items as json.dumps(indent=2) writes it, items indented by pad.
+    if not count:
         return "[]"
-    items = f",\n{pad}".join(map(str, values))
+    items = f",\n{pad}".join(["%s"] * count)
     return f"[\n{pad}{items}\n{pad[:-2]}]"
 
 
-def _json_entry(p, d, verdicts, agree, witness) -> str:
-    # One report entry at depth 2 of the report, keys in sorted order. Mode
-    # names are identifiers from MODES, so no string needs escaping.
-    vtext = ",\n".join(
-        f'        "{mode}": {"true" if v else "false"}'
-        for mode, v in sorted(verdicts.items())
-    )
+def _json_entry(n: int, modes, wlen):
+    # One report entry at depth 2 of the report, keys in sorted order.
+    order = sorted(range(len(modes)), key=modes.__getitem__)
+    vtext = ",\n".join(f'        "{modes[i]}": %s' for i in order)
     vtext = f"{{\n{vtext}\n      }}" if vtext else "{}"
-    wtext = "null" if witness is None else (
-        f'{{\n        "monomial": {_json_ints(witness["monomial"], " " * 10)},\n'
-        f'        "power": {witness["power"]},\n'
-        f'        "target_degree": {witness["target_degree"]}\n      }}'
+    wtext = "null" if wlen is None else (
+        f'{{\n        "monomial": {_json_list(wlen, " " * 10)},\n'
+        f'        "power": %s,\n'
+        f'        "target_degree": %s\n      }}'
     )
-    return (
-        f'    {{\n      "agree": {"true" if agree else "false"},\n'
-        f'      "d": {_json_ints(d, " " * 8)},\n'
-        f'      "p": {p},\n'
+    template = (
+        f'    {{\n      "agree": %s,\n'
+        f'      "d": {_json_list(n, " " * 8)},\n'
+        f'      "p": %s,\n'
         f'      "verdicts": {vtext},\n'
         f'      "witness": {wtext}\n    }}'
     )
+    words = ("false", "true")
+    if wlen is None:
+        return lambda p, d, verdicts, agree, w: template % (
+            words[agree], *d, p, *[words[verdicts[i]] for i in order])
+    return lambda p, d, verdicts, agree, w: template % (
+        words[agree], *d, p, *[words[verdicts[i]] for i in order],
+        *w.monomial, w.power, w.target_degree)
 
 
 def _json_report(config: dict, texts: list[str], summary: dict) -> str:
     # With an indent, json.dumps runs its pure-Python encoder, so only the
-    # small config and summary go through it.
+    # small config and summary go through it. Imported here, as no other
+    # format needs it.
+    import json
+
     head = json.dumps({"config": config}, indent=2, sort_keys=True)
     tail = json.dumps({"summary": summary}, indent=2, sort_keys=True)
     body = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
     return f'{head[:-2]},\n  "entries": {body},\n{tail[2:]}\n'
 
 
+def _row_entry(template: str, words, modes, wlen):
+    # A CSV row and a text line take the same values: p, the exponents, the
+    # verdicts of the modes in table order, agree, and the witness monomial
+    # and power; a verdict of a mode not in MODES is not shown.
+    order = [modes.index(m) for m in MODES if m in modes]
+    if wlen is None:
+        return lambda p, d, verdicts, agree, w: template % (
+            p, *d, *[words[verdicts[i]] for i in order], words[agree])
+    return lambda p, d, verdicts, agree, w: template % (
+        p, *d, *[words[verdicts[i]] for i in order], words[agree], *w.monomial, w.power)
+
+
+def _slots(count: int) -> str:
+    # count %s cells of a semicolon-joined list
+    return ";".join(["%s"] * count)
+
+
 _CSV_HEADER = ",".join(["p", "d", *(f"verdict_{mode}" for mode in MODES),
                         "agree", "witness_monomial", "witness_power"])
 
 
-def _csv_entry(p, d, verdicts, agree, witness) -> str:
+def _csv_entry(n: int, modes, wlen):
     # No cell holds a comma, a quote or a line break, so csv.writer would
-    # quote none: a row is its cells joined by commas.
-    cells = [str(p), ";".join(map(str, d))]
-    for mode in MODES:
-        v = verdicts.get(mode)
-        cells.append("" if v is None else "true" if v else "false")
-    cells.append("true" if agree else "false")
-    if witness:
-        cells += [";".join(map(str, witness["monomial"])), str(witness["power"])]
-    else:
-        cells += ["", ""]
-    return ",".join(cells)
+    # quote none: a row is its cells joined by commas. Every mode of MODES
+    # has its column, blank where the entry has no verdict of that mode.
+    cells = ["%s", _slots(n), *("%s" if m in modes else "" for m in MODES), "%s"]
+    cells += ["", ""] if wlen is None else [_slots(wlen), "%s"]
+    return _row_entry(",".join(cells), ("false", "true"), modes, wlen)
 
 
 def _csv_report(config: dict, texts: list[str], summary: dict) -> str:
     return "\n".join([_CSV_HEADER, *texts]) + "\n"
 
 
-def _text_entry(p, d, verdicts, agree, witness) -> str:
-    parts = [f"p={p}", "d=" + ";".join(map(str, d))]
-    for mode in MODES:
-        v = verdicts.get(mode)
-        if v is not None:
-            parts.append(f"{mode}={'yes' if v else 'no'}")
-    parts.append(f"agree={'yes' if agree else 'no'}")
-    if witness:
-        parts.append("witness=" + ";".join(map(str, witness["monomial"])))
-        parts.append(f"power={witness['power']}")
-    return " ".join(parts)
+def _text_entry(n: int, modes, wlen):
+    parts = ["p=%s", "d=" + _slots(n), *(f"{m}=%s" for m in MODES if m in modes), "agree=%s"]
+    if wlen is not None:
+        parts += ["witness=" + _slots(wlen), "power=%s"]
+    return _row_entry(" ".join(parts), ("no", "yes"), modes, wlen)
 
 
 def _text_report(config: dict, texts: list[str], summary: dict) -> str:
@@ -403,9 +417,19 @@ _RENDERERS = {
 
 
 def _render(fmt: str, report: dict) -> str:
-    entry, assemble = _RENDERERS[fmt]
-    texts = [entry(e["p"], e["d"], e["verdicts"], e["agree"], e["witness"])
-             for e in report["entries"]]
+    # Each entry is rendered for its own shape, and each shape's renderer is
+    # made once per call.
+    maker, assemble = _RENDERERS[fmt]
+    renderers = {}
+    texts = []
+    for e in report["entries"]:
+        verdicts, witness = e["verdicts"], e["witness"]
+        shape = (len(e["d"]), tuple(verdicts),
+                 None if witness is None else len(witness["monomial"]))
+        if shape not in renderers:
+            renderers[shape] = maker(*shape)
+        texts.append(renderers[shape](e["p"], e["d"], tuple(verdicts.values()), e["agree"],
+                                      witness and SimpleNamespace(**witness)))
     return assemble(report["config"], texts, report["summary"])
 
 

@@ -82,12 +82,12 @@ def _verify_witness(
         if binomial_mod_p(power, j, field):
             raise RuntimeError("witness construction produced a surviving term")
     # Degree j has the basis x^i y^(j - i) for max(0, j - d2 + 1) <= i <=
-    # min(j, d1 - 1), the window arithmetic of the loop above; the range is
-    # empty above the top degree.
-    source, target = (
-        len(range(max(0, j - d2 + 1), min(j, d1 - 1) + 1)) for j in (e1 + e2, e1 + e2 + power)
-    )
-    if source > target:
+    # min(j, d1 - 1), the window arithmetic of the loop above: its size less
+    # one is min(j, d1 - 1) - max(0, j - d2 + 1). Above the top degree that
+    # difference is negative where the size is 0, but the source piece holds
+    # the monomial, so the comparison comes out the same.
+    j, k = e1 + e2, e1 + e2 + power
+    if min(j, d1 - 1) - max(0, j - d2 + 1) > min(k, d1 - 1) - max(0, k - d2 + 1):
         raise RuntimeError("witness target piece is smaller than the source piece")
 
 

@@ -339,9 +339,19 @@ class TestVerify:
             report = self._report(source)
         assert cli.render_csv(report) == csv_by_writer(report)
 
-    # Grids whose reports must not depend on the worker count: one
-    # variable, three variables, and three algebras for the eight shares of
-    # two workers.
+    @staticmethod
+    def assert_matches_references(outputs):
+        # The three formats of one sweep, each equal to its reference built
+        # from the JSON report.
+        report = json.loads(outputs["json"])
+        assert outputs["json"] == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert outputs["csv"] == csv_by_writer(report)
+        assert outputs["text"] == cli.render_text(report)
+
+    # Grids whose reports must not depend on the worker count and must equal
+    # their references, each a shape the entry templates fix in advance: one
+    # variable, three variables, three algebras for the eight shares of two
+    # workers, and modes in neither table nor sorted order.
     SHARED_GRIDS = [
         pytest.param(["--primes", "3,2", "--n", "1", "--max", "7",
                       "--modes", "oracle,digits"], id="n1"),
@@ -349,6 +359,8 @@ class TestVerify:
                       "--modes", "oracle,digits"], id="n3"),
         pytest.param(["--primes", "2", "--n", "2", "--max", "3",
                       "--modes", "digits,manhattan,delta"], id="fewer-algebras-than-shares"),
+        pytest.param(["--primes", "2,3", "--max", "6",
+                      "--modes", "delta,digits,oracle"], id="modes-out-of-table-order"),
     ]
 
     @pytest.mark.parametrize("grid", SHARED_GRIDS)
@@ -368,13 +380,16 @@ class TestVerify:
         # cli imports multiprocessing only when it starts a pool
         monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
         monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        outputs = {}
         for fmt in cli.FORMATS:
             argv = ["verify", *grid, "--format", fmt, "--jobs"]
             code, serial, _ = run_cli(argv + ["1"], capsys)
             assert code == 0
             code, parallel, _ = run_cli(argv + ["2"], capsys)
             assert code == 0 and parallel == serial, fmt
+            outputs[fmt] = serial
         assert pools == [2] * len(cli.FORMATS)
+        self.assert_matches_references(outputs)
 
     @pytest.mark.parametrize("grid", SHARED_GRIDS[1:] + [
         pytest.param(["--primes", "2,3", "--max", "7", "--modes", "oracle,digits,manhattan"],
@@ -438,6 +453,34 @@ class TestVerify:
                 results.append((report["entries"], report["summary"]))
         assert in_process_pool == [2, 2]
         assert all(result == results[0] for result in results)
+
+    def test_disagreeing_sweep_matches_references_at_one_and_two_jobs(
+        self, in_process_pool, monkeypatch, capsys
+    ):
+        # The oracle made wrong on p=3, d=(2,2): that entry disagrees, and
+        # each verdict must sit under its own mode, though the sweep holds
+        # them in neither table nor sorted order. Both pools map in this
+        # process, so the wrong oracle decides in every share.
+        _oracle_wrong_on_f3_square(monkeypatch)
+        outputs = {}
+        for fmt in cli.FORMATS:
+            argv = ["verify", "--primes", "2,3", "--max", "5", "--modes",
+                    "digits,oracle,manhattan", "--format", fmt, "--jobs"]
+            code, serial, _ = run_cli(argv + ["1"], capsys)
+            assert code == 1
+            code, parallel, _ = run_cli(argv + ["2"], capsys)
+            assert code == 1 and parallel == serial, fmt
+            outputs[fmt] = serial
+        assert in_process_pool == [2] * len(cli.FORMATS)
+        self.assert_matches_references(outputs)
+        report = json.loads(outputs["json"])
+        assert report["summary"]["disagreements"] == 1
+        assert [e for e in report["entries"] if not e["agree"]] == [{
+            "agree": False, "d": [2, 2], "p": 3, "witness": None,
+            "verdicts": {"digits": True, "manhattan": True, "oracle": False},
+        }]
+        assert "3,2;2,false,true,true,,false,," in outputs["csv"].splitlines()
+        assert "p=3 d=2;2 oracle=no digits=yes manhattan=yes agree=no" in outputs["text"]
 
     def test_csv_columns(self, capsys):
         code, out, _ = run_cli(self.BASE + ["--format", "csv"], capsys)
@@ -779,12 +822,13 @@ def test_unwritable_stdout_is_a_usage_error(argv):
 
 
 def test_cli_import_loads_only_what_a_command_runs():
-    # In a fresh interpreter, neither importing the CLI nor a sweep at one
-    # job loads any of these: the records are named tuples (no dataclasses,
-    # and with it no inspect), the pool is imported only to start one, and
-    # numpy is no dependency. Modules are counted from those loaded before
-    # the import, since site may load typing.
-    unneeded = {"dataclasses", "inspect", "multiprocessing", "typing", "numpy"}
+    # In a fresh interpreter, neither importing the CLI nor a text sweep at
+    # one job loads any of these: the records are named tuples (no
+    # dataclasses, and with it no inspect), the pool is imported only to
+    # start one, json only to assemble a JSON report, and numpy is no
+    # dependency. Modules are counted from those loaded before the import,
+    # since site may load typing.
+    unneeded = {"dataclasses", "inspect", "json", "multiprocessing", "typing", "numpy"}
     probe = "\n".join([
         "import io, sys",
         "before = set(sys.modules)",
@@ -796,7 +840,8 @@ def test_cli_import_loads_only_what_a_command_runs():
         "import json",
         "print(json.dumps([code, imported, swept]), file=stdout)",
     ])
-    argv = ["verify", "--primes", "2", "--max", "4", "--modes", "digits", "--jobs", "1"]
+    argv = ["verify", "--primes", "2", "--max", "4", "--modes", "digits", "--format", "text",
+            "--jobs", "1"]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lefschetz.__file__)))
     done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
                           text=True, check=True)
