@@ -179,7 +179,8 @@ def _time_calls(name: str, calls: list[tuple], count_slp: bool) -> tuple[float, 
     elapsed = time.perf_counter() - started
     if not count_slp:
         return elapsed, {}
-    return elapsed, {"has_slp": sum(r.has_slp for r in results)}
+    # the outcome key of every run in BENCH_route.json, so the runs stay comparable
+    return elapsed, {"has_slp": sum(r.holds for r in results)}
 
 
 def _time_render(argv: list[str], recorded: dict) -> tuple[float, dict]:

@@ -31,7 +31,7 @@ from .syzygy_gap import (
     slp_via_delta,
     syzygy_profile,
 )
-from .verdict import KernelWitness, SlpVerdict
+from .verdict import KernelWitness, Verdict
 
 __version__ = "0.1.0"
 
@@ -40,8 +40,8 @@ __all__ = [
     "MatrixGFp",
     "PrimeField",
     "RegionTag",
-    "SlpVerdict",
     "SyzygyProfile",
+    "Verdict",
     "base_p_digits",
     "binomial_mod_p",
     "classify",

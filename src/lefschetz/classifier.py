@@ -24,9 +24,9 @@ All functions are pure; everything is exact integer arithmetic.
 from collections.abc import Iterator
 
 from .prime_field import PrimeField
-from .verdict import SlpVerdict
+from .verdict import Verdict
 
-_HAS_SLP, _NO_SLP = SlpVerdict(True), SlpVerdict(False)  # manhattan_check's, built once
+_HAS_SLP, _NO_SLP = Verdict(True), Verdict(False)  # manhattan_check's, built once
 
 
 def base_p_digits(n: int, field: PrimeField) -> tuple[int, ...]:
@@ -101,7 +101,7 @@ def _odd_sum_distance(point: tuple[int, ...], step: int) -> int:
     return total if parity % 2 else total + flip
 
 
-def manhattan_check(field: PrimeField, exponents: tuple[int, int]) -> SlpVerdict:
+def manhattan_check(field: PrimeField, exponents: tuple[int, int]) -> Verdict:
     """Decide the strong Lefschetz property of K[x,y]/(x^a, y^b) by distances.
 
     Tests, for every level i >= 1 and every 1 <= c < min(a, b), whether
@@ -227,7 +227,7 @@ def _n_ge_3_case(field: PrimeField, ds: tuple[int, ...]) -> tuple[int | None, st
     return None, "no condition applies"
 
 
-def classify(field: PrimeField, ds) -> SlpVerdict:
+def classify(field: PrimeField, ds) -> Verdict:
     """Full classification for any number of variables.
 
     Dispatches on the number of variables and, for two, on the
@@ -258,8 +258,8 @@ def classify(field: PrimeField, ds) -> SlpVerdict:
     else:
         number, tag = _n_ge_3_case(field, ds)
     if number is None:
-        return SlpVerdict(False, condition=f"no condition satisfied ({tag})")
-    return SlpVerdict(True, condition=f"condition {number}: {tag}")
+        return Verdict(False, condition=f"no condition satisfied ({tag})")
+    return Verdict(True, condition=f"condition {number}: {tag}")
 
 
 def han_delta(field: PrimeField, d1: int, d2: int, d3: int) -> int:

@@ -3,10 +3,10 @@
 Subcommands
 -----------
 check     decide the strong Lefschetz property of one algebra by the routes of
-          ``ROUTES`` (exit 0 yes, 1 no, 2 usage error), printing the fired
+          ``ROUTES["slp"]`` (exit 0 yes, 1 no, 2 usage error), printing the fired
           condition and, for two-variable failures, a verified kernel witness
 classify  ``check --mode digits`` without the witness
-wlp       weak Lefschetz property by the rank oracle
+wlp       ``check`` for the weak Lefschetz property, by ``ROUTES["wlp"]``
 syzgap    syzygy gap profile (alpha, beta, gap, region) of a degree triple
 verify    sweep a grid of algebras with several decision routes and report
           agreement (exit 0 iff no disagreements); supports json, csv and
@@ -32,15 +32,18 @@ from .lefschetz_oracle import is_slp_oracle, is_wlp_oracle, kernel_witness
 from .prime_field import PrimeField
 from .syzygy_gap import region, slp_via_delta, syzygy_profile
 
-# mode -> (number of variables it needs, None for any; route(field, exponents) -> SlpVerdict).
+# property -> mode -> (variables it needs, None for any; route(field, exponents) -> Verdict).
 # Each route is looked up as this module's name per call, so wrappers set there see it.
 ROUTES = {
-    "oracle": (None, lambda field, ds: is_slp_oracle(field, ds)),
-    "digits": (None, lambda field, ds: classify(field, ds)),
-    "manhattan": (2, lambda field, ds: manhattan_check(field, ds)),
-    "delta": (2, lambda field, ds: slp_via_delta(field, ds)),
+    "slp": {
+        "oracle": (None, lambda field, ds: is_slp_oracle(field, ds)),
+        "digits": (None, lambda field, ds: classify(field, ds)),
+        "manhattan": (2, lambda field, ds: manhattan_check(field, ds)),
+        "delta": (2, lambda field, ds: slp_via_delta(field, ds)),
+    },
+    "wlp": {"oracle": (None, lambda field, ds: is_wlp_oracle(field, ds))},
 }
-MODES = tuple(ROUTES)
+MODES = tuple(ROUTES["slp"])  # check --mode, verify --modes and the CSV columns
 FORMATS = ("json", "csv", "text")
 
 
@@ -107,11 +110,11 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _check_modes(modes, n: int) -> None:
-    bad = [m for m in modes if m not in ROUTES]
+def _check_modes(routes: dict, modes, n: int) -> None:
+    bad = [m for m in modes if m not in routes]
     if bad:
         raise ValueError(f"unknown modes: {', '.join(bad)}")
-    misfits = [m for m in modes if ROUTES[m][0] not in (None, n)]
+    misfits = [m for m in modes if routes[m][0] not in (None, n)]
     if misfits:
         raise ValueError(f"modes {', '.join(misfits)} apply to two variables only (n={n})")
 
@@ -125,26 +128,27 @@ def _cmd_check(args) -> int:
     ds = _parse_int_list(args.d, "exponent list")
     if any(d < 2 for d in ds):
         raise ValueError("exponents must be at least 2")
+    routes = ROUTES[args.property]
     if args.mode == "all":
-        modes = [m for m, (arity, _) in ROUTES.items() if arity in (None, len(ds))]
+        modes = [m for m, (arity, _) in routes.items() if arity in (None, len(ds))]
     else:
         modes = [args.mode]
-    _check_modes(modes, len(ds))
-    verdicts = {m: ROUTES[m][1](field, ds) for m in modes}
+    _check_modes(routes, modes, len(ds))
+    verdicts = {m: routes[m][1](field, ds) for m in modes}
     # one yes or no, and one failing power among the routes that give one
     powers = {v.failing_exponent for v in verdicts.values()} - {None}
-    if len({v.has_slp for v in verdicts.values()}) > 1 or len(powers) > 1:
+    if len({v.holds for v in verdicts.values()}) > 1 or len(powers) > 1:
         detail = ", ".join(
-            f"{m}={v.has_slp}" + (f" (power {v.failing_exponent})" if v.failing_exponent else "")
+            f"{m}={v.holds}" + (f" (power {v.failing_exponent})" if v.failing_exponent else "")
             for m, v in verdicts.items()
         )
         raise RuntimeError(f"internal disagreement between decision routes: {detail}")
-    has_slp = next(iter(verdicts.values())).has_slp
+    holds = next(iter(verdicts.values())).holds
     dtext = ",".join(str(d) for d in ds)
     condition = verdicts["digits"].condition if "digits" in verdicts else "via " + "/".join(modes)
-    word = "SLP" if has_slp else "no SLP"
+    word = args.property.upper() if holds else "no " + args.property.upper()
     # built before any output: a witness that fails its check prints no verdict
-    w = kernel_witness(field, *ds) if args.witness and not has_slp and len(ds) == 2 else None
+    w = kernel_witness(field, *ds) if args.witness and not holds and len(ds) == 2 else None
     print(f"p={field.p} d=({dtext}): {word} ({condition})")
     if w:
         e1, e2 = w.monomial
@@ -152,16 +156,7 @@ def _cmd_check(args) -> int:
             f"witness: monomial x^{e1}*y^{e2}, power {w.power}, "
             f"degree {w.degree} -> {w.target_degree}"
         )
-    return 0 if has_slp else 1
-
-
-def _cmd_wlp(args) -> int:
-    field = PrimeField(args.p)
-    ds = _parse_int_list(args.d, "exponent list")
-    has_wlp = is_wlp_oracle(field, ds)
-    dtext = ",".join(str(d) for d in ds)
-    print(f"p={field.p} d=({dtext}): {'WLP' if has_wlp else 'no WLP'}")
-    return 0 if has_wlp else 1
+    return 0 if holds else 1
 
 
 def _cmd_syzgap(args) -> int:
@@ -194,7 +189,7 @@ def _sweep_config(args) -> dict:
         raise ValueError("max exponent must be at least 2")
     modes = tuple(_split_list(args.modes, "modes"))
     _reject_repeats(modes, "mode")
-    _check_modes(modes, args.n)
+    _check_modes(ROUTES["slp"], modes, args.n)
     jobs = _available_cpus() if args.jobs is None else args.jobs
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -241,12 +236,12 @@ def _sweep_share(share) -> tuple[list[str], int, int]:
     # two-variable one
     plain = maker(n, modes, None)
     witnessed = maker(n, modes, 2) if n == 2 else None
-    routes = [ROUTES[m][1] for m in modes]
+    routes = [ROUTES["slp"][m][1] for m in modes]
     texts = []
     slp = disagreements = 0
     for p, ds in itertools.islice(_grid(fields, n, max_exponent), index, None, count):
         field = fields[p]
-        verdicts = [route(field, ds).has_slp for route in routes]
+        verdicts = [route(field, ds).holds for route in routes]
         first = verdicts[0]
         agree = verdicts.count(first) == len(verdicts)
         if not agree:
@@ -493,17 +488,17 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--d", required=True, help="comma-separated exponents, e.g. 2,3")
     check.add_argument("--mode", default="all", choices=("all",) + MODES,
                        help="decision route (default: all applicable, cross-checked)")
-    check.set_defaults(func=_cmd_check, witness=True)
+    check.set_defaults(func=_cmd_check, property="slp", witness=True)
 
     cls = sub.add_parser("classify", help="closed-form classification only")
     cls.add_argument("--p", type=int, required=True)
     cls.add_argument("--d", required=True)
-    cls.set_defaults(func=_cmd_check, mode="digits", witness=False)
+    cls.set_defaults(func=_cmd_check, property="slp", mode="digits", witness=False)
 
-    wlp = sub.add_parser("wlp", help="decide the WLP by the rank oracle")
+    wlp = sub.add_parser("wlp", help="decide the WLP for one algebra")
     wlp.add_argument("--p", type=int, required=True)
     wlp.add_argument("--d", required=True)
-    wlp.set_defaults(func=_cmd_wlp)
+    wlp.set_defaults(func=_cmd_check, property="wlp", mode="all", witness=False)
 
     syz = sub.add_parser("syzgap", help="syzygy gap of x^d1, y^d2, (x+y)^d3")
     syz.add_argument("--p", type=int, required=True)

@@ -25,7 +25,7 @@ before it is returned.
 from .classifier import step_violations
 from .graded_quotient import mult_matrix, top_degree
 from .prime_field import PrimeField, binomial_mod_p, rank
-from .verdict import KernelWitness, SlpVerdict
+from .verdict import KernelWitness, Verdict
 
 
 def max_rank_in_every_degree(field: PrimeField, exponents: tuple[int, ...], power: int) -> bool:
@@ -49,7 +49,7 @@ def _candidate_powers(exponents: tuple[int, ...]) -> list[int]:
     return list(range(t, 0, -2))
 
 
-def is_slp_oracle(field: PrimeField, exponents: tuple[int, ...]) -> SlpVerdict:
+def is_slp_oracle(field: PrimeField, exponents: tuple[int, ...]) -> Verdict:
     """Decide the strong Lefschetz property by rank computations.
 
     Powers m are checked in descending order over the reduced candidate set,
@@ -58,13 +58,15 @@ def is_slp_oracle(field: PrimeField, exponents: tuple[int, ...]) -> SlpVerdict:
     """
     for power in _candidate_powers(exponents):
         if not max_rank_in_every_degree(field, exponents, power):
-            return SlpVerdict(False, failing_exponent=power)
-    return SlpVerdict(True)
+            return Verdict(False, failing_exponent=power)
+    return Verdict(True)
 
 
-def is_wlp_oracle(field: PrimeField, exponents: tuple[int, ...]) -> bool:
+def is_wlp_oracle(field: PrimeField, exponents: tuple[int, ...]) -> Verdict:
     """Decide the weak Lefschetz property: maximal rank for the first power."""
-    return max_rank_in_every_degree(field, exponents, 1)
+    if max_rank_in_every_degree(field, exponents, 1):
+        return Verdict(True)
+    return Verdict(False, failing_exponent=1)
 
 
 def _verify_witness(

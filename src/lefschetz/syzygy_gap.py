@@ -16,7 +16,7 @@ import enum
 from collections import namedtuple
 
 from .prime_field import MatrixGFp, PrimeField, binomial_row, rank
-from .verdict import SlpVerdict
+from .verdict import Verdict
 
 
 class RegionTag(enum.Enum):
@@ -118,7 +118,7 @@ def region(d1: int, d2: int, d3: int) -> RegionTag:
     return RegionTag.OUTSIDE_L
 
 
-def slp_via_delta(field: PrimeField, exponents: tuple[int, int]) -> SlpVerdict:
+def slp_via_delta(field: PrimeField, exponents: tuple[int, int]) -> Verdict:
     """Strong Lefschetz property of K[x,y]/(x^d1, y^d2) through syzygy gaps.
 
     Holds iff the gap of (d1, d2, d1 + d2 - 2c) vanishes for every
@@ -132,5 +132,5 @@ def slp_via_delta(field: PrimeField, exponents: tuple[int, int]) -> SlpVerdict:
         raise ValueError("exponents must be at least 2")
     for c in range(1, min(d1, d2)):
         if syzygy_profile(field, d1, d2, d1 + d2 - 2 * c).delta:
-            return SlpVerdict(False, failing_exponent=d1 + d2 - 2 * c)
-    return SlpVerdict(True)
+            return Verdict(False, failing_exponent=d1 + d2 - 2 * c)
+    return Verdict(True)

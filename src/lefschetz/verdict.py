@@ -23,19 +23,20 @@ class KernelWitness(namedtuple("KernelWitness", "monomial power")):
         return self.degree + self.power
 
 
-class SlpVerdict(namedtuple("SlpVerdict", "has_slp failing_exponent condition")):
-    """Outcome of a strong-Lefschetz decision: every route returns one.
+class Verdict(namedtuple("Verdict", "holds failing_exponent condition")):
+    """Outcome of a Lefschetz decision, strong or weak: every route returns one.
 
     A failing verdict of the rank oracle or of the syzygy gap route carries
-    the first power, largest first, whose map misses maximal rank; those of
-    ``classify`` carry a condition tag instead, and ``manhattan_check``'s
-    carry neither. A positive verdict never carries failure evidence.
+    the first power, largest first, whose map misses maximal rank (for the
+    weak property that power is 1); those of ``classify`` carry a condition
+    tag instead, and ``manhattan_check``'s carry neither. A positive verdict
+    never carries failure evidence.
     """
 
     __slots__ = ()
 
-    def __new__(cls, has_slp: bool, failing_exponent: int | None = None,
+    def __new__(cls, holds: bool, failing_exponent: int | None = None,
                 condition: str | None = None):
-        if has_slp and failing_exponent is not None:
+        if holds and failing_exponent is not None:
             raise ValueError("a positive verdict cannot carry failure evidence")
-        return super().__new__(cls, has_slp, failing_exponent, condition)
+        return super().__new__(cls, holds, failing_exponent, condition)

@@ -188,7 +188,7 @@ def max_rank_by_definition(field, exponents, power: int) -> bool:
 def slp_oracle_over_every_degree(field, exponents) -> tuple[bool, int | None]:
     """The oracle with every degree checked for each candidate power.
 
-    Returns ``(has_slp, failing_exponent)``: the candidate powers in
+    Returns ``(holds, failing_exponent)``: the candidate powers in
     descending order, each tested by ``max_rank_by_definition``.
     """
     for power in _candidate_powers(exponents):

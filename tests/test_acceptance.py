@@ -58,11 +58,11 @@ def test_c1_two_variable_four_way_equivalence():
         for a, b in pairs(2, 40):
             oracle, delta = is_slp_oracle(field, (a, b)), slp_via_delta(field, (a, b))
             votes = (
-                oracle.has_slp,
+                oracle.holds,
                 not any(step_violations(field, a, b)),
-                manhattan_check(field, (a, b)).has_slp,
-                delta.has_slp,
-                classify(field, (a, b)).has_slp,
+                manhattan_check(field, (a, b)).holds,
+                delta.holds,
+                classify(field, (a, b)).holds,
             )
             # the two routes that give a failing power give the same one
             if len(set(votes)) != 1 or oracle.failing_exponent != delta.failing_exponent:
@@ -171,8 +171,8 @@ def test_c6_three_variable_classification():
             for d2 in range(2, 7):
                 for d3 in range(2, 7):
                     count += 1
-                    closed = classify(field, (d1, d2, d3)).has_slp
-                    oracle = is_slp_oracle(field, (d1, d2, d3)).has_slp
+                    closed = classify(field, (d1, d2, d3)).holds
+                    oracle = is_slp_oracle(field, (d1, d2, d3)).holds
                     if closed != oracle:
                         mismatches.append((field.p, d1, d2, d3, closed, oracle))
     assert count == 3 * 125
@@ -216,7 +216,7 @@ def test_c8_large_characteristic_sanity():
         ds = tuple(rng.randint(2, 8) for _ in range(n))
         t = sum(d - 1 for d in ds)
         p = rng.choice([q for q in primes if q > t])
-        if not is_slp_oracle(PrimeField(p), ds).has_slp:
+        if not is_slp_oracle(PrimeField(p), ds).holds:
             failures.append((p, ds))
     assert not failures, f"large characteristic failures: {failures}"
     print("ACCEPTANCE C8 (50 random tuples with p above the top degree): PASS")
@@ -225,12 +225,12 @@ def test_c8_large_characteristic_sanity():
 def test_c9_spot_classifications():
     f2 = PrimeField(2)
     for b in range(2, 65):
-        assert classify(f2, (2, b)).has_slp == (b % 2 == 1), b
+        assert classify(f2, (2, b)).holds == (b % 2 == 1), b
     for b in range(3, 65):
-        assert classify(f2, (3, b)).has_slp == (b % 4 == 2), b
+        assert classify(f2, (3, b)).holds == (b % 4 == 2), b
     for p in (3, 5, 7):
         field = PrimeField(p)
         for a in range(2, p):
             for b in range(2, p):
-                assert classify(field, (a, b)).has_slp == (a + b <= p + 1), (p, a, b)
+                assert classify(field, (a, b)).holds == (a + b <= p + 1), (p, a, b)
     print("ACCEPTANCE C9 (spot classifications across exhaustive ranges): PASS")

@@ -15,7 +15,7 @@ from conftest import (
 )
 from lefschetz import (
     PrimeField,
-    SlpVerdict,
+    Verdict,
     base_p_digits,
     classify,
     han_delta,
@@ -102,9 +102,9 @@ class TestOddSumDistance:
 
 class TestManhattan:
     def test_examples(self):
-        assert manhattan_check(F3, (2, 2)).has_slp
-        assert manhattan_check(F2, (2, 2)) == SlpVerdict(False)
-        assert manhattan_check(F5, (3, 3)) == SlpVerdict(True)
+        assert manhattan_check(F3, (2, 2)).holds
+        assert manhattan_check(F2, (2, 2)) == Verdict(False)
+        assert manhattan_check(F5, (3, 3)) == Verdict(True)
 
     def test_closed_form_matches_box_search(self):
         # both orders: the closed form reads |a - b|
@@ -112,7 +112,7 @@ class TestManhattan:
             field = PrimeField(p)
             for a in range(2, 21):
                 for b in range(2, 21):
-                    got = manhattan_check(field, (a, b)).has_slp
+                    got = manhattan_check(field, (a, b)).holds
                     assert got == manhattan_by_search(p, a, b), (p, a, b)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 257])
@@ -127,8 +127,8 @@ class TestManhattan:
                     if a < 2 or b < 2:
                         continue
                     expected = not any(step_violations(field, a, b))
-                    assert manhattan_check(field, (a, b)).has_slp == expected, (p, a, b)
-                    assert manhattan_check(field, (b, a)).has_slp == expected, (p, b, a)
+                    assert manhattan_check(field, (a, b)).holds == expected, (p, a, b)
+                    assert manhattan_check(field, (b, a)).holds == expected, (p, b, a)
 
     def test_maximal_characteristic_near_p(self):
         p = MAX_CHARACTERISTIC
@@ -138,17 +138,17 @@ class TestManhattan:
         for a in near:
             for b in near:
                 expected = not any(step_violations(field, a, b))
-                assert manhattan_check(field, (a, b)).has_slp == expected, (a, b)
+                assert manhattan_check(field, (a, b)).holds == expected, (a, b)
 
 
 class TestTwoVariableClassification:
     def test_odd_p_examples(self):
         v = classify(F5, (3, 3))
-        assert v.has_slp and v.condition == "condition 4: case 1"
+        assert v.holds and v.condition == "condition 4: case 1"
         v = classify(F3, (2, 9))
-        assert not v.has_slp and v.condition == "no condition satisfied (case 2)"
+        assert not v.holds and v.condition == "no condition satisfied (case 2)"
         v = classify(F3, (4, 4))
-        assert v.has_slp and v.condition == "condition 3: case 3"
+        assert v.holds and v.condition == "condition 3: case 3"
 
     def test_odd_p_case3_subconditions(self):
         # 6 ends in digit 1; 42 has middle digit 3; leading digits 4 + 4 > 4
@@ -169,14 +169,14 @@ class TestTwoVariableClassification:
         )
         for ds in ((3, 4), (2, 2)):
             v = classify(F2, ds)
-            assert not v.has_slp and v.condition == "no condition satisfied (no p=2 case applies)"
+            assert not v.holds and v.condition == "no condition satisfied (no p=2 case applies)"
 
 
 class TestManyVariableClassification:
     def test_examples(self):
         assert classify(F7, (2, 2, 2)).condition == "condition 4: top degree below p"
         v = classify(F3, (3, 2, 2))
-        assert not v.has_slp and v.condition == "no condition satisfied (no condition applies)"
+        assert not v.holds and v.condition == "no condition satisfied (no condition applies)"
         assert classify(F5, (7, 2, 2)).condition == "condition 5: single dominant exponent"
 
     def test_largest_exponent_equal_to_p_never_works(self):
@@ -186,18 +186,18 @@ class TestManyVariableClassification:
                 ds = (p,) + rest
                 if max(ds) == p:
                     v = classify(field, ds)
-                    assert not v.has_slp, ds
+                    assert not v.holds, ds
                     assert v.condition == "no condition satisfied (no condition applies)", ds
 
 
 class TestClassify:
     def test_examples(self):
         v = classify(F2, (5,))
-        assert v.has_slp and v.condition.startswith("condition 1")
+        assert v.holds and v.condition.startswith("condition 1")
         v = classify(F2, (2, 3))
-        assert v.has_slp and v.condition.startswith("condition 2")
+        assert v.holds and v.condition.startswith("condition 2")
         v = classify(F5, (2, 2, 2))
-        assert v.has_slp and v.condition.startswith("condition 4")
+        assert v.holds and v.condition.startswith("condition 4")
 
     def test_condition_numbers(self):
         assert classify(F3, (4, 4)).condition.startswith("condition 3")
@@ -207,7 +207,7 @@ class TestClassify:
 
     def test_negative_verdicts_have_no_failure_payload(self):
         v = classify(F2, (2, 2))
-        assert not v.has_slp and v.failing_exponent is None
+        assert not v.holds and v.failing_exponent is None
 
     def test_invariant_under_permutation(self):
         rng = random.Random(8)
@@ -217,9 +217,9 @@ class TestClassify:
                 tuple(rng.randint(2, 30) for _ in range(rng.randint(1, 4))) for _ in range(20)
             ]
             for ds in [(2,), (30,), (2, 30, 2, 30), *drawn]:
-                base = classify(field, ds).has_slp
+                base = classify(field, ds).holds
                 for perm in permutations(ds):
-                    assert classify(field, perm).has_slp == base, (p, ds, perm)
+                    assert classify(field, perm).holds == base, (p, ds, perm)
 
     def test_exponent_bounds(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import lefschetz
-from lefschetz import SlpVerdict, classify, cli, lefschetz_oracle, prime_field, syzygy_gap
+from lefschetz import Verdict, classify, cli, lefschetz_oracle, prime_field, syzygy_gap
 from lefschetz.cli import main
 
 
@@ -96,7 +96,7 @@ class TestCheck:
         # a wrong route makes check refuse a verdict rather than pick one
         real = cli.manhattan_check
         monkeypatch.setattr(cli, "manhattan_check",
-                            lambda field, ds: SlpVerdict(not real(field, ds).has_slp))
+                            lambda field, ds: Verdict(not real(field, ds).holds))
         code, out, err = run_cli(["check", "--p", "3", "--d", "2,2"], capsys)
         assert code == 2 and out == ""
         assert err.count("\n") == 1
@@ -107,7 +107,7 @@ class TestCheck:
     def test_failing_power_disagreement_is_refused(self, monkeypatch, capsys):
         # the routes agree on "no SLP" but not on the first failing power
         monkeypatch.setattr(cli, "slp_via_delta",
-                            lambda field, ds: SlpVerdict(False, failing_exponent=3))
+                            lambda field, ds: Verdict(False, failing_exponent=3))
         code, out, err = run_cli(["check", "--p", "2", "--d", "4,5"], capsys)
         assert code == 2 and out == ""
         assert err == ("error: internal error: RuntimeError: internal disagreement between "
@@ -133,8 +133,9 @@ class TestWlp:
         assert code == 0 and "WLP" in out
 
     def test_wlp_fails(self, capsys):
+        # check's verdict line, for the weak property
         code, out, _ = run_cli(["wlp", "--p", "2", "--d", "2,2,2"], capsys)
-        assert code == 1 and "no WLP" in out
+        assert code == 1 and out == "p=2 d=(2,2,2): no WLP (via oracle)\n"
 
 
 class TestSyzgap:
@@ -193,7 +194,8 @@ class TestSyzgap:
                      id="check-exponent-below-2"),
         pytest.param(["classify", "--p", "3", "--d", "1,4"], "at least 2",
                      id="classify-exponent-below-2"),
-        pytest.param(["wlp", "--p", "3", "--d", "0,3"], "at least 1", id="wlp-exponent-below-1"),
+        pytest.param(["wlp", "--p", "3", "--d", "0,3"], "at least 2", id="wlp-exponent-below-2"),
+        pytest.param(["wlp", "--p", "2", "--d", "1,3"], "at least 2", id="wlp-exponent-one"),
         pytest.param(["syzgap", "--p", "3", "--d", "0,1,1"], "positive",
                      id="syzgap-degree-below-1"),
         pytest.param(
@@ -525,7 +527,7 @@ class TestVerify:
         real = cli.manhattan_check
         monkeypatch.setattr(
             cli, "manhattan_check",
-            lambda field, ds: SlpVerdict(real(field, ds).has_slp != (ds[0] == ds[1])))
+            lambda field, ds: Verdict(real(field, ds).holds != (ds[0] == ds[1])))
         code, out, _ = run_cli(["verify", "--primes", "2,3", "--max", "6",
                                 "--modes", "digits,manhattan", "--format", "json", "--jobs", "1"],
                                capsys)
@@ -757,7 +759,7 @@ def _oracle_wrong_on_f3_square(monkeypatch):
 
     def wrong(field, ds):
         if field.p == 3 and tuple(ds) == (2, 2):
-            return SlpVerdict(False, failing_exponent=2)
+            return Verdict(False, failing_exponent=2)
         return real(field, ds)
 
     monkeypatch.setattr(cli, "is_slp_oracle", wrong)

@@ -18,7 +18,7 @@ from conftest import (
 from lefschetz import (
     KernelWitness,
     PrimeField,
-    SlpVerdict,
+    Verdict,
     is_slp_oracle,
     is_wlp_oracle,
     kernel_witness,
@@ -70,39 +70,39 @@ class TestMaxRank:
 
 class TestSlpOracle:
     def test_examples(self):
-        assert is_slp_oracle(F3, (2, 2)).has_slp
+        assert is_slp_oracle(F3, (2, 2)).holds
         v = is_slp_oracle(F2, (2, 2))
-        assert not v.has_slp and v.failing_exponent == 2
-        assert is_slp_oracle(PrimeField(7), (2, 2, 2)).has_slp
+        assert not v.holds and v.failing_exponent == 2
+        assert is_slp_oracle(PrimeField(7), (2, 2, 2)).holds
 
     def test_positive_verdict_carries_no_failing_power(self):
         with pytest.raises(ValueError, match="failure evidence"):
-            SlpVerdict(True, failing_exponent=3)
+            Verdict(True, failing_exponent=3)
 
     @pytest.mark.parametrize("build", RECORD_BUILDS)
     def test_record_contract(self, build):
-        check_record(build, SlpVerdict, (False, 3, None), (True, 3, None), "failure evidence")
-        assert SlpVerdict(False) == (False, None, None)
+        check_record(build, Verdict, (False, 3, None), (True, 3, None), "failure evidence")
+        assert Verdict(False) == (False, None, None)
 
     def test_first_failing_power_is_reported(self):
         # candidate powers descend from a+b-2; for (4,5) over GF(2) the top
         # power still has maximal rank and the failure first shows at 5
         v = is_slp_oracle(F2, (4, 5))
-        assert not v.has_slp and v.failing_exponent == 5
+        assert not v.holds and v.failing_exponent == 5
 
     def test_single_variable_is_trivial(self):
         for d in (1, 2, 5, 9):
-            assert is_slp_oracle(F2, (d,)).has_slp
+            assert is_slp_oracle(F2, (d,)).holds
 
     def test_exponent_one_reduces_to_fewer_variables(self):
-        assert is_slp_oracle(F2, (1, 4)).has_slp
+        assert is_slp_oracle(F2, (1, 4)).holds
 
     def test_reduced_checks_match_full_sweep_two_variables(self):
         for p in (2, 3, 5):
             field = PrimeField(p)
             for a in range(2, 13):
                 for b in range(a, 13):
-                    assert is_slp_oracle(field, (a, b)).has_slp == full_slp_check(
+                    assert is_slp_oracle(field, (a, b)).holds == full_slp_check(
                         field, (a, b)
                     ), (p, a, b)
 
@@ -110,7 +110,7 @@ class TestSlpOracle:
         for p in (2, 3):
             field = PrimeField(p)
             for ds in [(2, 2, 2), (2, 2, 3), (2, 3, 4), (3, 3, 3), (2, 2, 5)]:
-                assert is_slp_oracle(field, ds).has_slp == full_slp_check(field, ds), (p, ds)
+                assert is_slp_oracle(field, ds).holds == full_slp_check(field, ds), (p, ds)
 
     @pytest.mark.parametrize(
         "primes, exponent_tuples",
@@ -129,7 +129,7 @@ class TestSlpOracle:
             field = PrimeField(p)
             for ds in exponent_tuples:
                 v = is_slp_oracle(field, ds)
-                assert (v.has_slp, v.failing_exponent) == slp_oracle_over_every_degree(
+                assert (v.holds, v.failing_exponent) == slp_oracle_over_every_degree(
                     field, ds
                 ), (p, ds)
 
@@ -142,7 +142,7 @@ class TestSlpOracle:
 
         monkeypatch.setattr(lefschetz_oracle, "rank", counting_rank)
         f31, ds = PrimeField(31), (5, 6, 7)
-        assert is_slp_oracle(f31, ds).has_slp
+        assert is_slp_oracle(f31, ds).holds
         assert len(calls) == len(_candidate_powers(ds)) == 8
         # every tested map is square: A_i -> A_(t-i)
         assert all(rows == cols for rows, cols in calls)
@@ -153,16 +153,8 @@ class TestSlpOracle:
 
         # the WLP is the first power alone, on its central degree
         calls.clear()
-        assert is_wlp_oracle(f31, ds)
+        assert is_wlp_oracle(f31, ds).holds
         assert len(calls) == 1
-
-    def test_slp_implies_wlp_on_sweep(self):
-        for p in (2, 3, 5):
-            field = PrimeField(p)
-            for a in range(2, 13):
-                for b in range(a, 13):
-                    if is_slp_oracle(field, (a, b)).has_slp:
-                        assert is_wlp_oracle(field, (a, b)), (p, a, b)
 
     def test_large_characteristic_always_works(self):
         rng = random.Random(11)
@@ -171,26 +163,36 @@ class TestSlpOracle:
             ds = tuple(rng.randint(2, 6) for _ in range(n))
             t = sum(d - 1 for d in ds)
             p = next(q for q in (17, 19, 23, 29, 31) if q > t)
-            assert is_slp_oracle(PrimeField(p), ds).has_slp
-            assert is_wlp_oracle(PrimeField(p), ds)
+            assert is_slp_oracle(PrimeField(p), ds).holds
+            assert is_wlp_oracle(PrimeField(p), ds).holds
 
     @pytest.mark.parametrize("ds", [(40, 41), (5, 6, 7), (3, 3, 3, 3)])
     def test_maximal_characteristic_always_works(self, ds):
         # t < p, so the property holds; the entries are binomials reduced mod p
         field = PrimeField(MAX_CHARACTERISTIC)
-        assert is_slp_oracle(field, ds).has_slp
-        assert is_wlp_oracle(field, ds)
+        assert is_slp_oracle(field, ds).holds
+        assert is_wlp_oracle(field, ds).holds
 
 
 class TestWlpOracle:
     def test_examples(self):
-        assert is_wlp_oracle(F2, (2, 3))
-        assert is_wlp_oracle(F2, (2, 2))
+        assert is_wlp_oracle(F2, (2, 3)) == Verdict(True)
+        assert is_wlp_oracle(F2, (2, 2)).holds
 
     def test_wlp_can_fail(self):
         # three squares in characteristic two: x+y+z squares to zero,
         # and already the first power misses maximal rank
-        assert not is_wlp_oracle(F2, (2, 2, 2))
+        assert is_wlp_oracle(F2, (2, 2, 2)) == Verdict(False, failing_exponent=1)
+
+    def test_every_two_variable_algebra_has_the_wlp(self):
+        # A/(x + y)A = K[x]/(x^min(a, b)) has Hilbert function
+        # max(h_i - h_(i-1), 0), which is maximal rank of x + y in every
+        # degree, over every field
+        for p in (2, 3, 5, 7):
+            field = PrimeField(p)
+            for a in range(2, 30):
+                for b in range(a, 30):
+                    assert is_wlp_oracle(field, (a, b)).holds, (p, a, b)
 
 
 class TestKernelWitness:

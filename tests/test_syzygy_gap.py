@@ -25,8 +25,8 @@ from conftest import (
 from lefschetz import (
     PrimeField,
     RegionTag,
-    SlpVerdict,
     SyzygyProfile,
+    Verdict,
     kernel_dimension,
     presentation_matrix,
     region,
@@ -167,11 +167,11 @@ class TestHilbertSeriesIdentity:
 
 class TestSlpViaDelta:
     def test_examples(self):
-        assert slp_via_delta(F3, (2, 2)) == SlpVerdict(True)
-        assert slp_via_delta(F2, (2, 2)) == SlpVerdict(False, failing_exponent=2)
-        assert slp_via_delta(F5, (3, 3)).has_slp
+        assert slp_via_delta(F3, (2, 2)) == Verdict(True)
+        assert slp_via_delta(F2, (2, 2)) == Verdict(False, failing_exponent=2)
+        assert slp_via_delta(F5, (3, 3)).holds
         # the first failing power, as the oracle reports it
-        assert slp_via_delta(F2, (4, 5)) == SlpVerdict(False, failing_exponent=5)
+        assert slp_via_delta(F2, (4, 5)) == Verdict(False, failing_exponent=5)
 
     def test_exponent_bounds(self):
         with pytest.raises(ValueError):
