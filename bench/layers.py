@@ -4,19 +4,22 @@
 
 BENCH is one of the benchmarks below; no names runs all seven. Every grid,
 mode list, ``verify`` argument list and report digest comes from
-``sweepbench/checks.py``.
+``sweepbench/checks.py``. Every call list is what one ``verify --jobs 1``
+sweep of the workload calls: ``record`` runs that sweep in this process and
+keeps each call of a function of ``TABLE``, whose rows are the timed
+functions. A new layer is one more row.
 
 * ``oracle``: the ``mult_matrix`` builds of the central maps that
   ``is_slp_oracle`` makes on ``sweep-n3-largep`` and ``sweep-n2``, and the
   ``rank`` of every built map;
 * ``syzygy``: the same for the ``presentation_matrix`` builds that
   ``slp_via_delta`` makes on ``sweep-n2``;
-* ``witness``: ``kernel_witness`` on every non-SLP pair of
-  ``sweep-n2-digits``;
+* ``witness``: ``kernel_witness`` on every pair of ``sweep-n2-digits`` that
+  ``verify`` gives a witness;
 * ``route``: each decision route as ``verify`` calls it, on the workload
   that runs it, with the number of algebras it accepts;
 * ``render``: ``verify``'s sweep of each workload at ``--jobs 1`` with
-  every decision (each route and ``kernel_witness``) replayed from a record
+  every decision (the ``cli`` rows of ``TABLE``) replayed from the record
   of the same sweep, which leaves the path of its entries (agreement,
   witness choice, rendering) and the report's assembly; each report must
   have the recorded sha256;
@@ -64,21 +67,20 @@ from checks import WORKLOADS  # noqa: E402
 
 REPEATS = 9
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-# route -> the workload that runs it
-ROUTES = {
-    "manhattan_check": "sweep-n2-digits",
-    "classify": "sweep-n2-digits",
-    "slp_via_delta": "sweep-n2",
-    "is_slp_oracle": "sweep-n3-largep",
+# timed function -> (the lefschetz module that looks it up per call, its
+# bench, its workloads). A bench's layers follow the rows and, in a row, its
+# workloads; a row whose calls build a MatrixGFp also times the rank of each.
+TABLE = {
+    "manhattan_check": ("cli", "route", ("sweep-n2-digits",)),
+    "classify": ("cli", "route", ("sweep-n2-digits",)),
+    "slp_via_delta": ("cli", "route", ("sweep-n2",)),
+    "is_slp_oracle": ("cli", "route", ("sweep-n3-largep",)),
+    "kernel_witness": ("cli", "witness", ("sweep-n2-digits",)),
+    "mult_matrix": ("lefschetz_oracle", "oracle", ("sweep-n3-largep", "sweep-n2")),
+    "presentation_matrix": ("syzygy_gap", "syzygy", ("sweep-n2",)),
 }
-# the functions cli calls to decide an algebra
-DECISIONS = (*ROUTES, "kernel_witness")
-# matrix benchmark -> (module, matrix function, route that calls it, its workloads)
-MATRICES = {
-    "oracle": ("lefschetz_oracle", "mult_matrix", "is_slp_oracle",
-               ("sweep-n3-largep", "sweep-n2")),
-    "syzygy": ("syzygy_gap", "presentation_matrix", "slp_via_delta", ("sweep-n2",)),
-}
+# the functions cli calls to decide an algebra, which render replays
+DECISIONS = tuple(name for name, (module, *_) in TABLE.items() if module == "cli")
 
 
 def import_lefschetz():
@@ -95,60 +97,38 @@ def _cli():
     return importlib.import_module("lefschetz.cli")
 
 
-def _calls(lz, workload: str) -> list[tuple]:
-    # The arguments ``verify`` passes to every route, (field, exponents) for
-    # each algebra of the workload, in grid order.
-    fields = {p: lz.PrimeField(p) for p in WORKLOADS[workload].primes}
-    return [(fields[p], ds) for p, ds in WORKLOADS[workload].grid()]
-
-
 def _verify_config(cli, argv: list[str]) -> dict:
     return cli._sweep_config(cli._build_parser().parse_args(argv))
 
 
-def _recorded_decisions(cli, argv: list[str]) -> dict:
-    # What each decision function returns while ``verify`` sweeps in this
-    # process, keyed by its name, the prime and its other arguments;
-    # recorded by wrapping the names that cli looks up per call.
-    recorded = {}
-    saved = {name: getattr(cli, name) for name in DECISIONS}
+def record(argv: list[str]) -> list[tuple]:
+    """``(name, args, result)`` of each call of a ``TABLE`` function, in the
+    order the calls return, while ``verify`` with the arguments ``argv``
+    sweeps in this process at one job. Each name is wrapped in the module
+    that looks it up per call, and restored also when the sweep raises."""
+    cli = _cli()
+    config = _verify_config(cli, argv)
+    if config["jobs"] != 1:
+        raise ValueError("record a sweep at --jobs 1: a worker's calls stay in the worker")
+    calls = []
 
     def recording(name, fn):
-        def call(field, *args):
-            recorded[name, field.p, args] = result = fn(field, *args)
+        def call(*args):
+            result = fn(*args)
+            calls.append((name, args, result))
             return result
         return call
 
-    for name, fn in saved.items():
-        setattr(cli, name, recording(name, fn))
+    modules = {n: importlib.import_module(f"lefschetz.{m}") for n, (m, *_) in TABLE.items()}
+    saved = {name: getattr(module, name) for name, module in modules.items()}
     try:
-        cli._sweep(_verify_config(cli, argv))
+        for name, fn in saved.items():
+            setattr(modules[name], name, recording(name, fn))
+        cli._sweep(config)
     finally:
         for name, fn in saved.items():
-            setattr(cli, name, fn)
-    return recorded
-
-
-def _recorded_builds(lz, bench: str, workload: str) -> list[tuple]:
-    # The arguments of every matrix the route builds while it decides the
-    # workload, recorded by wrapping the matrix function's name in the module
-    # that calls it.
-    module_name, matrix_fn, route, _ = MATRICES[bench]
-    module = importlib.import_module(f"lefschetz.{module_name}")
-    build = getattr(module, matrix_fn)
-    builds = []
-
-    def recording(*args):
-        builds.append(args)
-        return build(*args)
-
-    setattr(module, matrix_fn, recording)
-    try:
-        for args in _calls(lz, workload):
-            getattr(lz, route)(*args)
-    finally:
-        setattr(module, matrix_fn, build)
-    return builds
+            setattr(modules[name], name, fn)
+    return calls
 
 
 # The samplers run in a fresh interpreter and return the wall time and an
@@ -188,7 +168,7 @@ def _time_render(argv: list[str], recorded: dict) -> tuple[float, dict]:
     cli = _cli()
     config = _verify_config(cli, argv)
     for name in DECISIONS:
-        setattr(cli, name, lambda field, *args, name=name: recorded[name, field.p, args])
+        setattr(cli, name, lambda *args, name=name: recorded[name, args])
     started = time.perf_counter()
     text, _ = cli._sweep(config)
     elapsed = time.perf_counter() - started
@@ -237,34 +217,36 @@ def in_fresh_interpreter(fn, *args):
 
 def tasks(bench: str, work: str) -> list[tuple]:
     """``(workload, layer, calls, sampler, args)`` of every layer of the bench."""
-    lz = import_lefschetz()
     out = str(Path(work) / "report.json")
-    if bench in MATRICES:
-        _, matrix_fn, _, workloads = MATRICES[bench]
-        series = []
-        for w in workloads:
-            builds = _recorded_builds(lz, bench, w)
-            series += [(w, layer, len(builds), _time_builds, (matrix_fn, builds, layer == "rank"))
-                       for layer in (matrix_fn, "rank")]
-        return series
-    if bench == "witness":
-        calls = [(field, *ds) for field, ds in _calls(lz, "sweep-n2-digits")
-                 if any(lz.step_violations(field, *ds))]
-        return [("sweep-n2-digits", "kernel_witness", len(calls), _time_calls,
-                 ("kernel_witness", calls, False))]
-    if bench == "route":
-        return [(w, route, WORKLOADS[w].algebras, _time_calls,
-                 (route, _calls(lz, w), True)) for route, w in ROUTES.items()]
     if bench == "import":
         _time_import()  # compiles the bytecode that every sample reads
         return [("start-up", "lefschetz.cli", 1, _time_import, ())]
+    if bench == "verify":
+        return [(w, f"--jobs {jobs}", 1, _time_verify, (WORKLOADS[w].argv(jobs, out), out))
+                for w in WORKLOADS for jobs in sorted({1, CORES})]
+    records = {}  # workload -> the record of its sweep, made at most once
+
+    def calls(w: str, names) -> list[tuple]:
+        if w not in records:
+            records[w] = record(WORKLOADS[w].argv(1, out))
+        return [(name, args, result) for name, args, result in records[w] if name in names]
+
     if bench == "render":
-        cli = _cli()
-        argvs = {w: WORKLOADS[w].argv(1, out) for w in WORKLOADS}
         return [(w, "_sweep replayed", WORKLOADS[w].algebras, _time_render,
-                 (argvs[w], _recorded_decisions(cli, argvs[w]))) for w in WORKLOADS]
-    return [(w, f"--jobs {jobs}", 1, _time_verify, (WORKLOADS[w].argv(jobs, out), out))
-            for w in WORKLOADS for jobs in sorted({1, CORES})]
+                 (WORKLOADS[w].argv(1, out), {(n, a): r for n, a, r in calls(w, DECISIONS)}))
+                for w in WORKLOADS]
+    lz = import_lefschetz()
+    series = []
+    for name, (_, row_bench, workloads) in TABLE.items():
+        for w in workloads if row_bench == bench else ():
+            _, args, results = map(list, zip(*calls(w, (name,))))
+            if isinstance(results[0], lz.MatrixGFp):
+                series += [(w, layer, len(args), _time_builds, (name, args, layer == "rank"))
+                           for layer in (name, "rank")]
+            else:
+                series.append((w, name, len(args), _time_calls,
+                               (name, args, isinstance(results[0], lz.Verdict))))
+    return series
 
 
 def _git(*args: str) -> subprocess.CompletedProcess | None:

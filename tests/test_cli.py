@@ -280,6 +280,25 @@ def csv_by_writer(report: dict) -> str:
     return buf.getvalue()
 
 
+def text_by_hand(report: dict) -> str:
+    """The text report written out from the JSON report: the reference for
+    ``verify --format text``."""
+    lines = []
+    for e in report["entries"]:
+        words = [f"p={e['p']}", "d=" + ";".join(str(d) for d in e["d"])]
+        words += [f"{mode}={'yes' if e['verdicts'][mode] else 'no'}"
+                  for mode in cli.MODES if mode in e["verdicts"]]
+        words.append(f"agree={'yes' if e['agree'] else 'no'}")
+        w = e["witness"]
+        if w:
+            words += ["witness=" + ";".join(str(x) for x in w["monomial"]), f"power={w['power']}"]
+        lines.append(" ".join(words))
+    summary = report["summary"]
+    lines.append(f"summary: tuples={summary['tuples']} slp={summary['slp']} "
+                 f"non_slp={summary['non_slp']} disagreements={summary['disagreements']}")
+    return "\n".join(lines) + "\n"
+
+
 class TestVerify:
     BASE =["verify", "--primes", "2,3", "--n", "2", "--max", "8",
             "--modes", "oracle,digits", "--jobs", "1"]
@@ -349,6 +368,7 @@ class TestVerify:
         assert outputs["json"] == json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert outputs["csv"] == csv_by_writer(report)
         assert outputs["text"] == cli.render_text(report)
+        assert outputs["text"] == text_by_hand(report)
 
     # Grids whose reports must not depend on the worker count and must equal
     # their references, each a shape the entry templates fix in advance: one

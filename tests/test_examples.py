@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import doctest
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from lefschetz import cli, lefschetz_oracle, syzygy_gap
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -47,3 +52,41 @@ def test_bench_script_help():
     done = subprocess.run([sys.executable, "bench/layers.py", "--help"], cwd=ROOT,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_bench_recorder_keeps_what_verify_calls(monkeypatch):
+    # bench/layers.py times the calls of one recorded verify sweep; its
+    # path insertions are undone with sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    argv = ["verify", "--primes", "2,3", "--max", "5",
+            "--modes", "oracle,digits,manhattan,delta", "--jobs", "1"]
+    modules = (cli, lefschetz_oracle, syzygy_gap)
+
+    def names():
+        return [dict(vars(module)) for module in modules]
+
+    def unchanged(before):
+        # every name bound to the very object it was bound to before
+        return all(vars(m).keys() == b.keys() and all(vars(m)[k] is v for k, v in b.items())
+                   for m, b in zip(modules, before))
+
+    before = names()
+    calls = layers.record(argv)
+    assert unchanged(before)
+    grid = [(p, (a, b)) for p in (2, 3) for a in range(2, 6) for b in range(a, 6)]
+    for name, (_, bench, _) in layers.TABLE.items():
+        if bench == "route":
+            assert [(args[0].p, args[1]) for n, args, _ in calls if n == name] == grid, name
+    assert {name for name, _, _ in calls} == set(layers.TABLE)
+
+    def broken(field, ds):
+        raise ZeroDivisionError("a route that fails mid-sweep")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    before = names()
+    with pytest.raises(ZeroDivisionError):
+        layers.record(argv)
+    assert unchanged(before)
