@@ -176,10 +176,6 @@ def _time_render(argv: list[str], recorded: dict) -> tuple[float, dict]:
 
 
 def _time_verify(argv: list[str], out: str) -> tuple[float, dict]:
-    # A spawned interpreter inherits the spawn start method; the platform
-    # default is restored so that verify starts its pool as it does from the
-    # command line.
-    multiprocessing.set_start_method(None, force=True)
     cli = _cli()
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -259,10 +255,15 @@ def _git(*args: str) -> subprocess.CompletedProcess | None:
 def machine() -> dict:
     head = _git("rev-parse", "HEAD")
     changed = _git("diff", "--quiet", "HEAD", "--", "src")
+    diff = _git("diff", "HEAD", "--", "src", "bench/layers.py")
     return {
         "git_commit": head.stdout.strip() if head and head.returncode == 0 else None,
         # whether src/ differs from that commit (a measured, uncommitted change)
         "src_modified": changed.returncode == 1 if changed else None,
+        # which uncommitted change of the code and of this script was measured:
+        # the sha256 of their diff from that commit (that of b"" for none)
+        "diff_sha256": (hashlib.sha256(diff.stdout.encode()).hexdigest()
+                        if diff and diff.returncode == 0 else None),
         "cores": CORES,
         "online_cpus": os.cpu_count(),
         "python": platform.python_version(),

@@ -10,17 +10,22 @@ wlp       ``check`` for the weak Lefschetz property, by ``ROUTES["wlp"]``
 syzgap    syzygy gap profile (alpha, beta, gap, region) of a degree triple
 verify    sweep a grid of algebras with several decision routes and report
           agreement (exit 0 iff no disagreements); supports json, csv and
-          text output, options from an @FILE, and parallel evaluation
+          text output, options from an @FILE, and, at --jobs N, N shares of
+          the grid decided at once: one in this process, one in each of
+          N - 1 forked workers
 
 Report data is byte-identical across runs for identical configuration; the
 elapsed time goes to stderr only. Exit code 2 also covers a failed internal
 check, such as routes that disagree on one algebra in ``check``, or a kernel
 witness or syzygy degrees that do not verify: one ``error:`` line goes to
-stderr and no verdict line is printed.
+stderr and no verdict line is printed. So does a ``verify`` worker that
+ends without a result, killed by a signal for one: no worker outlives
+``verify``, whether the sweep succeeds or fails.
 """
 
 import argparse
 import itertools
+import marshal
 import os
 import sys
 import time
@@ -207,11 +212,6 @@ def _sweep_config(args) -> dict:
     }
 
 
-# Shares per worker at --jobs N: a worker that ends its share early takes
-# the next one, so no worker idles while another finishes a slow share.
-_SHARES_PER_WORKER = 4
-
-
 def _grid(primes, n, max_exponent):
     # Non-decreasing exponent tuples in lexicographic order: every decision
     # route is invariant under permuting the exponents, so one
@@ -265,13 +265,94 @@ def _merge_shares(results, size: int) -> tuple[list[str], int, int]:
     return texts, sum(r[1] for r in results), sum(r[2] for r in results)
 
 
+def _run_worker(share, write: int, unread: list[int]) -> None:
+    # In a forked worker: closes the read ends in unread, its own among them,
+    # so that no reply waits on a pipe this process holds open; writes one
+    # marshal of (True, the share's result) or of (False, the pickled
+    # exception it raised); and ends by os._exit, so none of the parent's
+    # exit code runs here (atexit handlers, buffered output, a test runner's
+    # teardown). The exit status is 0 only once the whole reply is written.
+    status = 1
+    try:
+        for fd in unread:
+            os.close(fd)
+        try:
+            reply = (True, _sweep_share(share))
+        except BaseException as exc:
+            import pickle  # only a failure is pickled
+
+            reply = (False, pickle.dumps(exc))
+        with open(write, "wb") as pipe:
+            pipe.write(marshal.dumps(reply))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_shares(spec, count: int) -> list:
+    """The results of shares 0..count-1 of a sweep, share 0 decided here.
+
+    Worker k, forked from this process, decides share k meanwhile. This
+    process then reads each worker's pipe to EOF and reaps the worker. A
+    share that raised raises here, so a failure reads as at one job; a worker
+    that ends without a result (killed by a signal, or exited early) is a
+    RuntimeError. Workers still running when this returns or raises are
+    killed and reaped, so none outlives ``verify``. Forking is safe as
+    ``verify`` starts no thread: no worker inherits a lock another thread holds.
+    """
+    # a worker's copy of unflushed output would be lost, or written twice
+    sys.stdout.flush()
+    sys.stderr.flush()
+    workers = {}  # pid -> (share index, read end of its pipe), until reaped
+    try:
+        for index in range(1, count):
+            try:
+                read, write = os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                # exit 2 as an internal error: main reads an OSError as a failed write
+                raise RuntimeError(f"cannot start sweep worker {index}: {exc}") from None
+            if pid == 0:
+                unread = [read, *(pipe.fileno() for _, pipe in workers.values())]
+                _run_worker((spec, index, count), write, unread)
+            os.close(write)
+            workers[pid] = (index, open(read, "rb"))
+        results = [_sweep_share((spec, 0, count))]
+        for pid, (index, pipe) in list(workers.items()):
+            with pipe:
+                reply = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(
+                    f"sweep worker {index} (pid {pid}) ended without a result: {how}")
+            done, result = marshal.loads(reply)
+            if not done:
+                import pickle
+
+                raise pickle.loads(result)
+            results.append(result)
+        return results
+    finally:
+        if workers:
+            import signal  # only a failure leaves workers to kill
+        for pid, (_, pipe) in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _sweep(config) -> tuple[str, int]:
     """The rendered report of a sweep and its number of disagreements.
 
-    At one job the whole grid is one share, run in this process; at N jobs a
-    pool of N workers runs ``_SHARES_PER_WORKER`` shares each. Either way the
-    shares' entry texts are merged in grid order and wrapped in the format's
-    head and tail, so the report does not depend on the worker count.
+    At one job the whole grid is one share, run in this process. At N jobs it
+    is N shares: this process decides share 0 and N - 1 forked workers the
+    others (``_forked_shares``). Without ``os.fork`` the whole grid is one
+    share here, whatever the job count. Either way the shares' entry texts
+    are merged in grid order and wrapped in the format's head and tail, so
+    the report does not depend on the worker count.
     """
     fields, n, max_exponent = config["fields"], config["n"], config["max_exponent"]
     spec = (fields, n, max_exponent, tuple(config["modes"]), config["format"])
@@ -279,12 +360,8 @@ def _sweep(config) -> tuple[str, int]:
     size = len(fields) * comb(max_exponent + n - 2, n)
     # More workers than processors only add interpreters.
     jobs = min(config["jobs"], size, _available_cpus())
-    if jobs > 1:
-        import multiprocessing  # only here: a sweep at one job never loads it
-        count = _SHARES_PER_WORKER * jobs
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_sweep_share, [(spec, i, count) for i in range(count)],
-                               chunksize=1)
+    if jobs > 1 and hasattr(os, "fork"):
+        results = _forked_shares(spec, jobs)
     else:
         results = [_sweep_share((spec, 0, 1))]
     texts, slp, disagreements = _merge_shares(results, size)

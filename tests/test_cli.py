@@ -7,8 +7,8 @@ import hashlib
 import importlib.util
 import io
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +40,26 @@ def run_cli(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture
+def forked_workers(monkeypatch):
+    """The pids of the verify workers forked during the test; each must have
+    been reaped by verify when the test ends."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no longer a child: reaped
+            os.waitpid(pid, os.WNOHANG)
 
 
 class TestCheck:
@@ -372,8 +392,8 @@ class TestVerify:
 
     # Grids whose reports must not depend on the worker count and must equal
     # their references, each a shape the entry templates fix in advance: one
-    # variable, three variables, three algebras for the eight shares of two
-    # workers, and modes in neither table nor sorted order.
+    # variable, three variables, three algebras for the shares of three jobs,
+    # and modes in neither table nor sorted order.
     SHARED_GRIDS = [
         pytest.param(["--primes", "3,2", "--n", "1", "--max", "7",
                       "--modes", "oracle,digits"], id="n1"),
@@ -386,31 +406,22 @@ class TestVerify:
     ]
 
     @pytest.mark.parametrize("grid", SHARED_GRIDS)
-    @pytest.mark.parametrize("context", ["default", "spawn"])
+    @pytest.mark.parametrize("jobs", [pytest.param(2, id="jobs2"), pytest.param(3, id="jobs3")])
     def test_every_format_is_the_same_at_one_and_two_jobs(
-        self, grid, context, monkeypatch, capsys
+        self, grid, jobs, forked_workers, monkeypatch, capsys
     ):
-        # Under "spawn" each worker is a new interpreter, so the shares and
-        # their results are shown to pickle and the module to re-import.
-        pools = []
-        real = multiprocessing.get_context(None if context == "default" else context)
-
-        def recording_pool(processes):
-            pools.append(processes)
-            return real.Pool(processes)
-
-        # cli imports multiprocessing only when it starts a pool
-        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
-        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        # At N jobs this process decides share 0 and N - 1 forked workers the
+        # others; three jobs give a worker a share that is not the last.
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
         outputs = {}
         for fmt in cli.FORMATS:
             argv = ["verify", *grid, "--format", fmt, "--jobs"]
             code, serial, _ = run_cli(argv + ["1"], capsys)
             assert code == 0
-            code, parallel, _ = run_cli(argv + ["2"], capsys)
+            code, parallel, _ = run_cli(argv + [str(jobs)], capsys)
             assert code == 0 and parallel == serial, fmt
             outputs[fmt] = serial
-        assert pools == [2] * len(cli.FORMATS)
+        assert len(forked_workers) == (jobs - 1) * len(cli.FORMATS)
         self.assert_matches_references(outputs)
 
     @pytest.mark.parametrize("grid", SHARED_GRIDS[1:] + [
@@ -429,39 +440,22 @@ class TestVerify:
             assert cli._merge_shares(shares, len(whole[0])) == whole, count
 
     @pytest.fixture
-    def in_process_pool(self, monkeypatch):
-        # Two processors and a Pool that records the workers asked for and
-        # maps in this process: no process is started.
-        started = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, tasks, chunksize=1):
-                return [func(task) for task in tasks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    def two_processors(self, forked_workers, monkeypatch):
+        # Two processors, so --jobs 2 and above fork one worker on any machine.
         monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
-        return started
+        return forked_workers
 
-    def test_workers_capped_at_available_processors(self, in_process_pool, capsys):
+    def test_workers_capped_at_available_processors(self, two_processors, capsys):
         argv = ["verify", "--primes", "2", "--max", "4", "--modes", "oracle,digits",
                 "--format", "json", "--jobs"]
         code, many, _ = run_cli(argv + ["64"], capsys)
-        assert code == 0 and in_process_pool == [2]
+        assert code == 0 and len(two_processors) == 1
         _, serial, _ = run_cli(argv + ["1"], capsys)
-        assert in_process_pool == [2] and many == serial
+        assert len(two_processors) == 1 and many == serial
 
-    def test_prime_order_does_not_change_entries(self, in_process_pool, capsys):
-        # The grid walks the primes in ascending order and Pool.map keeps
-        # the order of its input, so the report needs no sort.
+    def test_prime_order_does_not_change_entries(self, two_processors, capsys):
+        # The grid walks the primes in ascending order and the shares are
+        # merged by index, so the report needs no sort.
         results = []
         for jobs in ("1", "2"):
             for primes in ("5,2,3", "2,3,5"):
@@ -473,16 +467,16 @@ class TestVerify:
                 assert code == 0
                 report = json.loads(out)
                 results.append((report["entries"], report["summary"]))
-        assert in_process_pool == [2, 2]
+        assert len(two_processors) == 2
         assert all(result == results[0] for result in results)
 
     def test_disagreeing_sweep_matches_references_at_one_and_two_jobs(
-        self, in_process_pool, monkeypatch, capsys
+        self, two_processors, monkeypatch, capsys
     ):
         # The oracle made wrong on p=3, d=(2,2): that entry disagrees, and
         # each verdict must sit under its own mode, though the sweep holds
-        # them in neither table nor sorted order. Both pools map in this
-        # process, so the wrong oracle decides in every share.
+        # them in neither table nor sorted order. A forked worker inherits
+        # the patched cli, so the wrong oracle decides in every share.
         _oracle_wrong_on_f3_square(monkeypatch)
         outputs = {}
         for fmt in cli.FORMATS:
@@ -493,7 +487,7 @@ class TestVerify:
             code, parallel, _ = run_cli(argv + ["2"], capsys)
             assert code == 1 and parallel == serial, fmt
             outputs[fmt] = serial
-        assert in_process_pool == [2] * len(cli.FORMATS)
+        assert len(two_processors) == len(cli.FORMATS)
         self.assert_matches_references(outputs)
         report = json.loads(outputs["json"])
         assert report["summary"]["disagreements"] == 1
@@ -503,6 +497,21 @@ class TestVerify:
         }]
         assert "3,2;2,false,true,true,,false,," in outputs["csv"].splitlines()
         assert "p=3 d=2;2 oracle=no digits=yes manhattan=yes agree=no" in outputs["text"]
+
+    def test_interrupted_sweep_leaves_no_worker(self, two_processors, monkeypatch, capsys):
+        # Ctrl-C while verify decides its own share: the worker is killed and
+        # reaped (the fixture checks), and the interrupt goes on.
+        parent, real = os.getpid(), cli.classify
+
+        def classify(field, ds):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(field, ds)
+
+        monkeypatch.setattr(cli, "classify", classify)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--primes", "2,3", "--max", "8", "--modes", "digits", "--jobs", "2"])
+        assert len(two_processors) == 1 and capsys.readouterr().out == ""
 
     def test_csv_columns(self, capsys):
         code, out, _ = run_cli(self.BASE + ["--format", "csv"], capsys)
@@ -809,15 +818,27 @@ def _kernel_too_large(monkeypatch):
                  ["verify", "--primes", "3", "--max", "2", "--modes", "oracle", "--jobs", "1"],
                  "internal error: RuntimeError: algebra has the strong Lefschetz property",
                  id="verify-oracle-wrong"),
+    # p=3, d=(2,2) is grid position 1: the forked worker's share
+    pytest.param(_oracle_wrong_on_f3_square,
+                 ["verify", "--primes", "2,3", "--max", "2", "--modes", "oracle", "--jobs", "2"],
+                 "internal error: RuntimeError: algebra has the strong Lefschetz property",
+                 id="verify-oracle-wrong-two-jobs"),
+    # p=3, d=(2,2) is grid position 0: verify's own share, the worker's still running
+    pytest.param(_oracle_wrong_on_f3_square,
+                 ["verify", "--primes", "3", "--max", "3", "--modes", "oracle", "--jobs", "2"],
+                 "internal error: RuntimeError: algebra has the strong Lefschetz property",
+                 id="verify-oracle-wrong-own-share"),
     pytest.param(_witness_check_fails, ["check", "--p", "2", "--d", "2,2"],
                  "internal error: RuntimeError: witness", id="check-witness-fails"),
     pytest.param(_kernel_too_large, ["syzgap", "--p", "3", "--d", "2,2,2"],
                  "internal error: RuntimeError: inconsistent syzygy degrees",
                  id="syzgap-inconsistent-degrees"),
 ])
-def test_failed_internal_check_is_not_a_verdict(fault, argv, message, monkeypatch, capsys):
+def test_failed_internal_check_is_not_a_verdict(fault, argv, message, forked_workers,
+                                                 monkeypatch, capsys):
     # exit 1 would read as "no SLP" or as a disagreement
     fault(monkeypatch)
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)  # --jobs 2 forks on any machine
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
@@ -845,17 +866,19 @@ def test_unwritable_stdout_is_a_usage_error(argv):
 
 def test_cli_import_loads_only_what_a_command_runs():
     # In a fresh interpreter, neither importing the CLI nor a text sweep at
-    # one job loads any of these: the records are named tuples (no
-    # dataclasses, and with it no inspect), the pool is imported only to
-    # start one, json only to assemble a JSON report, and numpy is no
-    # dependency. Modules are counted from those loaded before the import,
-    # since site may load typing.
-    unneeded = {"dataclasses", "inspect", "json", "multiprocessing", "typing", "numpy"}
+    # one or two jobs loads any of these: the records are named tuples (no
+    # dataclasses, and with it no inspect), the workers are forked without
+    # multiprocessing, pickle and signal serve only a failed worker, json
+    # only assembles a JSON report, and numpy is no dependency. Modules are
+    # counted from those loaded before the import, since site may load typing.
+    unneeded = {"dataclasses", "inspect", "json", "multiprocessing", "pickle", "signal",
+                "typing", "numpy"}
     probe = "\n".join([
         "import io, sys",
         "before = set(sys.modules)",
         "import lefschetz.cli",
         "imported = sorted(set(sys.modules) - before)",
+        "lefschetz.cli._available_cpus = lambda: 2",
         "stdout, sys.stdout = sys.stdout, io.StringIO()",
         "code = lefschetz.cli.main(sys.argv[1:])",
         "swept = sorted(set(sys.modules) - before)",
@@ -863,11 +886,51 @@ def test_cli_import_loads_only_what_a_command_runs():
         "print(json.dumps([code, imported, swept]), file=stdout)",
     ])
     argv = ["verify", "--primes", "2", "--max", "4", "--modes", "digits", "--format", "text",
-            "--jobs", "1"]
+            "--jobs"]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lefschetz.__file__)))
-    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
-                          text=True, check=True)
-    code, imported, swept = json.loads(done.stdout)
-    assert "lefschetz.cli" in imported and code == 0
-    assert unneeded.isdisjoint(imported), sorted(unneeded.intersection(imported))
-    assert unneeded.isdisjoint(swept), sorted(unneeded.intersection(swept))
+    for jobs in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", probe, *argv, jobs], env=env,
+                              capture_output=True, text=True, check=True)
+        code, imported, swept = json.loads(done.stdout)
+        assert "lefschetz.cli" in imported and code == 0
+        assert unneeded.isdisjoint(imported), sorted(unneeded.intersection(imported))
+        assert unneeded.isdisjoint(swept), (jobs, sorted(unneeded.intersection(swept)))
+
+
+def test_killed_worker_is_an_error_not_a_hang():
+    # A worker killed by a signal sends no result: verify must end with exit
+    # 2 and one error line, not wait for it, and leave no process behind.
+    # classify kills the process deciding p=2, d=(2,3), grid position 1, when
+    # that is not verify itself: the worker of share 1 of 2.
+    probe = "\n".join([
+        "import os, signal, sys",
+        "from lefschetz import cli",
+        "parent, real = os.getpid(), cli.classify",
+        "def classify(field, ds):",
+        "    if field.p == 2 and tuple(ds) == (2, 3) and os.getpid() != parent:",
+        "        os.kill(os.getpid(), signal.SIGKILL)",
+        "    return real(field, ds)",
+        "cli.classify, cli._available_cpus = classify, lambda: 2",
+        "sys.exit(cli.main(sys.argv[1:]))",
+    ])
+    argv = ["verify", "--primes", "2", "--max", "4", "--modes", "digits", "--jobs", "2"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lefschetz.__file__)))
+    # its own session, so that whatever it leaves can be found and killed
+    proc = subprocess.Popen([sys.executable, "-c", probe, *argv], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "internal error: RuntimeError: sweep worker 1" in err
+        assert f"killed by signal {signal.SIGKILL.value}" in err
+        with pytest.raises(ProcessLookupError):  # nothing left in the session
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
