@@ -12,7 +12,7 @@ verify    sweep a grid of algebras with several decision routes and report
           agreement (exit 0 iff no disagreements); supports json, csv and
           text output, options from an @FILE, and, at --jobs N, N shares of
           the grid decided at once: one in this process, one in each of
-          N - 1 forked workers
+          N - 1 forked workers (one job is one share, and no fork)
 
 Report data is byte-identical across runs for identical configuration; the
 elapsed time goes to stderr only. Exit code 2 also covers a failed internal
@@ -195,20 +195,18 @@ def _sweep_config(args) -> dict:
     modes = tuple(_split_list(args.modes, "modes"))
     _reject_repeats(modes, "mode")
     _check_modes(ROUTES["slp"], modes, args.n)
-    jobs = _available_cpus() if args.jobs is None else args.jobs
-    if jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise ValueError("jobs must be at least 1")
     if args.out == "":
         raise ValueError("empty output path")
     return {
-        "primes": list(primes),
         "fields": fields,
         "n": args.n,
         "max_exponent": args.max,
         "modes": list(modes),
         "format": args.format,
         "out": args.out,
-        "jobs": jobs,
+        "jobs": args.jobs,
     }
 
 
@@ -222,15 +220,15 @@ def _grid(primes, n, max_exponent):
             yield p, ds
 
 
-def _sweep_share(share) -> tuple[list[str], int, int]:
+def _sweep_share(spec, index: int, count: int) -> tuple[list[str], int, int]:
     """One share of a sweep: its entries rendered, its SLP and disagreement counts.
 
-    ``share`` is ``((fields, n, max_exponent, modes, format), index, count)``.
-    Share ``index`` of ``count`` holds the algebras at grid positions index,
-    index + count, index + 2*count, ...: costs grow along the grid, so every
-    share samples all of it.
+    ``spec`` is ``(fields, n, max_exponent, modes, format)``. Share ``index``
+    of ``count`` holds the algebras at grid positions index, index + count,
+    index + 2*count, ...: costs grow along the grid, so every share samples
+    all of it.
     """
-    (fields, n, max_exponent, modes, fmt), index, count = share
+    fields, n, max_exponent, modes, fmt = spec
     maker = _RENDERERS[fmt][0]
     # the two shapes of the share's entries: without a witness, and with a
     # two-variable one
@@ -255,17 +253,7 @@ def _sweep_share(share) -> tuple[list[str], int, int]:
     return texts, slp, disagreements
 
 
-def _merge_shares(results, size: int) -> tuple[list[str], int, int]:
-    # The entry texts of shares 0..count-1 in grid order, with the summed
-    # counts: share i of count fills positions i, i + count, ...
-    texts = [""] * size
-    count = len(results)
-    for index, (part, _, _) in enumerate(results):
-        texts[index::count] = part
-    return texts, sum(r[1] for r in results), sum(r[2] for r in results)
-
-
-def _run_worker(share, write: int, unread: list[int]) -> None:
+def _run_worker(spec, index: int, count: int, write: int, unread: list[int]) -> None:
     # In a forked worker: closes the read ends in unread, its own among them,
     # so that no reply waits on a pipe this process holds open; writes one
     # marshal of (True, the share's result) or of (False, the pickled
@@ -277,7 +265,7 @@ def _run_worker(share, write: int, unread: list[int]) -> None:
         for fd in unread:
             os.close(fd)
         try:
-            reply = (True, _sweep_share(share))
+            reply = (True, _sweep_share(spec, index, count))
         except BaseException as exc:
             import pickle  # only a failure is pickled
 
@@ -289,16 +277,19 @@ def _run_worker(share, write: int, unread: list[int]) -> None:
         os._exit(status)
 
 
-def _forked_shares(spec, count: int) -> list:
-    """The results of shares 0..count-1 of a sweep, share 0 decided here.
+def _shares(spec, count: int, size: int) -> tuple[list[str], int, int]:
+    """The entry texts of a sweep in grid order, and its SLP and disagreement counts.
 
-    Worker k, forked from this process, decides share k meanwhile. This
-    process then reads each worker's pipe to EOF and reaps the worker. A
-    share that raised raises here, so a failure reads as at one job; a worker
-    that ends without a result (killed by a signal, or exited early) is a
-    RuntimeError. Workers still running when this returns or raises are
-    killed and reaped, so none outlives ``verify``. Forking is safe as
-    ``verify`` starts no thread: no worker inherits a lock another thread holds.
+    The grid of ``size`` algebras is decided in ``count`` shares: share 0
+    here and, meanwhile, share k in worker k, forked from this process (at
+    one share, none). This process then reads each worker's pipe to EOF and
+    reaps the worker. Share i's texts fill positions i, i + count, ... as
+    they come in, and its counts are summed. A share that raised raises
+    here, so a failure reads as at one share; a worker that ends without a
+    result (killed by a signal, or exited early) is a RuntimeError. Workers
+    still running when this returns or raises are killed and reaped, so none
+    outlives ``verify``. Forking is safe as ``verify`` starts no thread: no
+    worker inherits a lock another thread holds.
     """
     # a worker's copy of unflushed output would be lost, or written twice
     sys.stdout.flush()
@@ -314,10 +305,11 @@ def _forked_shares(spec, count: int) -> list:
                 raise RuntimeError(f"cannot start sweep worker {index}: {exc}") from None
             if pid == 0:
                 unread = [read, *(pipe.fileno() for _, pipe in workers.values())]
-                _run_worker((spec, index, count), write, unread)
+                _run_worker(spec, index, count, write, unread)
             os.close(write)
             workers[pid] = (index, open(read, "rb"))
-        results = [_sweep_share((spec, 0, count))]
+        texts = [""] * size
+        texts[0::count], slp, disagreements = _sweep_share(spec, 0, count)
         for pid, (index, pipe) in list(workers.items()):
             with pipe:
                 reply = pipe.read()
@@ -333,8 +325,10 @@ def _forked_shares(spec, count: int) -> list:
                 import pickle
 
                 raise pickle.loads(result)
-            results.append(result)
-        return results
+            texts[index::count] = result[0]
+            slp += result[1]
+            disagreements += result[2]
+        return texts, slp, disagreements
     finally:
         if workers:
             import signal  # only a failure leaves workers to kill
@@ -347,31 +341,29 @@ def _forked_shares(spec, count: int) -> list:
 def _sweep(config) -> tuple[str, int]:
     """The rendered report of a sweep and its number of disagreements.
 
-    At one job the whole grid is one share, run in this process. At N jobs it
-    is N shares: this process decides share 0 and N - 1 forked workers the
-    others (``_forked_shares``). Without ``os.fork`` the whole grid is one
-    share here, whatever the job count. Either way the shares' entry texts
-    are merged in grid order and wrapped in the format's head and tail, so
-    the report does not depend on the worker count.
+    At N jobs the grid is N shares, run by ``_shares``: this process decides
+    share 0 and N - 1 forked workers the others, so one job is one share and
+    no fork. Without ``os.fork`` N is 1, whatever the job count. The entry
+    texts come back in grid order and are wrapped in the format's head and
+    tail, so the report does not depend on the worker count.
     """
     fields, n, max_exponent = config["fields"], config["n"], config["max_exponent"]
     spec = (fields, n, max_exponent, tuple(config["modes"]), config["format"])
     # multisets of n exponents from the max_exponent - 1 values 2..max_exponent
     size = len(fields) * comb(max_exponent + n - 2, n)
-    # More workers than processors only add interpreters.
-    jobs = min(config["jobs"], size, _available_cpus())
-    if jobs > 1 and hasattr(os, "fork"):
-        results = _forked_shares(spec, jobs)
-    else:
-        results = [_sweep_share((spec, 0, 1))]
-    texts, slp, disagreements = _merge_shares(results, size)
+    # No --jobs is all processors, and more workers than processors or
+    # algebras only add interpreters.
+    jobs = min(config["jobs"] or size, size, _available_cpus()) if hasattr(os, "fork") else 1
+    texts, slp, disagreements = _shares(spec, jobs, size)
     summary = {
         "tuples": size,
         "slp": slp,
         "non_slp": size - slp - disagreements,
         "disagreements": disagreements,
     }
-    reported = {k: config[k] for k in ("primes", "n", "max_exponent", "modes")}
+    # primes as given: repeats are refused, so the fields keep their order
+    reported = {"primes": list(fields), "n": n, "max_exponent": max_exponent,
+                "modes": config["modes"]}
     return _RENDERERS[config["format"]][1](reported, texts, summary), disagreements
 
 

@@ -231,6 +231,11 @@ class TestSyzgap:
             id="check-delta-three-variables",
         ),
         pytest.param(["syzgap", "--p", "3", "--d", "2,2"], None, id="syzgap-two-degrees"),
+        # argparse's own refusals: one error: line, no usage block
+        pytest.param(["check", "--p", "x", "--d", "2,2"], "argument --p: invalid int value: 'x'",
+                     id="check-argparse-invalid-p"),
+        pytest.param(["check", "--p", "2"], "the following arguments are required: --d",
+                     id="check-argparse-missing-d"),
         pytest.param(["check", "--p", "3", "--d", "2,2", "--mode", "bogus"], None,
                      id="check-unknown-mode"),
         pytest.param(["bogus"], None, id="unknown-subcommand"),
@@ -429,15 +434,18 @@ class TestVerify:
                      id="n2-witnesses"),
     ])
     def test_merged_shares_equal_one_share(self, grid):
+        # share i of count holds positions i, i + count, ... of the one-share
+        # texts, and the shares' counts sum to its counts
         args = cli._build_parser().parse_args(["verify", *grid, "--format", "json"])
         config = cli._sweep_config(args)
         spec = (config["fields"], config["n"], config["max_exponent"],
                 tuple(config["modes"]), config["format"])
-        whole = cli._sweep_share((spec, 0, 1))
+        texts, slp, disagreements = cli._sweep_share(spec, 0, 1)
         for count in range(1, 6):
-            shares = [cli._sweep_share((spec, index, count)) for index in range(count)]
-            assert sum(len(texts) for texts, _, _ in shares) == len(whole[0])
-            assert cli._merge_shares(shares, len(whole[0])) == whole, count
+            shares = [cli._sweep_share(spec, index, count) for index in range(count)]
+            for index, (part, _, _) in enumerate(shares):
+                assert part == texts[index::count], (index, count)
+            assert sum(s[1] for s in shares) == slp and sum(s[2] for s in shares) == disagreements
 
     @pytest.fixture
     def two_processors(self, forked_workers, monkeypatch):
@@ -455,7 +463,8 @@ class TestVerify:
 
     def test_prime_order_does_not_change_entries(self, two_processors, capsys):
         # The grid walks the primes in ascending order and the shares are
-        # merged by index, so the report needs no sort.
+        # merged by index, so the report needs no sort; its config keeps the
+        # primes in the order given.
         results = []
         for jobs in ("1", "2"):
             for primes in ("5,2,3", "2,3,5"):
@@ -466,9 +475,34 @@ class TestVerify:
                 )
                 assert code == 0
                 report = json.loads(out)
+                assert report["config"]["primes"] == [int(p) for p in primes.split(",")]
+                ps = [e["p"] for e in report["entries"]]
+                assert ps == sorted(ps) and set(ps) == {2, 3, 5}
                 results.append((report["entries"], report["summary"]))
         assert len(two_processors) == 2
         assert all(result == results[0] for result in results)
+
+    def test_default_jobs_is_available_processors(self, two_processors, capsys):
+        # no --jobs on two processors: one worker, and the --jobs 1 report
+        argv = ["verify", "--primes", "2,3", "--max", "7",
+                "--modes", "oracle,digits,manhattan", "--format", "json"]
+        code, default, _ = run_cli(argv, capsys)
+        assert code == 0 and len(two_processors) == 1
+        code, serial, _ = run_cli(argv + ["--jobs", "1"], capsys)
+        assert code == 0 and len(two_processors) == 1 and default == serial
+
+    def test_without_fork_every_format_is_one_share(self, monkeypatch, capsys):
+        # Where Python has no os.fork, --jobs 2 on two processors is one
+        # share in this process, with the --jobs 1 report.
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        for fmt in cli.FORMATS:
+            argv = ["verify", "--primes", "2,3", "--max", "7",
+                    "--modes", "oracle,digits,manhattan", "--format", fmt, "--jobs"]
+            code, serial, _ = run_cli(argv + ["1"], capsys)
+            assert code == 0
+            code, parallel, _ = run_cli(argv + ["2"], capsys)
+            assert code == 0 and parallel == serial, fmt
 
     def test_disagreeing_sweep_matches_references_at_one_and_two_jobs(
         self, two_processors, monkeypatch, capsys
