@@ -97,8 +97,12 @@ def _cli():
     return importlib.import_module("lefschetz.cli")
 
 
-def _verify_config(cli, argv: list[str]) -> dict:
-    return cli._sweep_config(cli._build_parser().parse_args(argv))
+def _one_job_spec(cli, argv: list[str]) -> tuple:
+    # the checked spec of verify with the arguments argv, for _sweep at one job
+    args = cli._build_parser().parse_args(argv)
+    if args.jobs != 1:
+        raise ValueError("record a sweep at --jobs 1: a worker's calls stay in the worker")
+    return cli._sweep_config(args)
 
 
 def record(argv: list[str]) -> list[tuple]:
@@ -107,9 +111,7 @@ def record(argv: list[str]) -> list[tuple]:
     sweeps in this process at one job. Each name is wrapped in the module
     that looks it up per call, and restored also when the sweep raises."""
     cli = _cli()
-    config = _verify_config(cli, argv)
-    if config["jobs"] != 1:
-        raise ValueError("record a sweep at --jobs 1: a worker's calls stay in the worker")
+    spec = _one_job_spec(cli, argv)
     calls = []
 
     def recording(name, fn):
@@ -124,7 +126,7 @@ def record(argv: list[str]) -> list[tuple]:
     try:
         for name, fn in saved.items():
             setattr(modules[name], name, recording(name, fn))
-        cli._sweep(config)
+        cli._sweep(spec, 1)
     finally:
         for name, fn in saved.items():
             setattr(modules[name], name, fn)
@@ -166,11 +168,11 @@ def _time_calls(name: str, calls: list[tuple], count_slp: bool) -> tuple[float, 
 def _time_render(argv: list[str], recorded: dict) -> tuple[float, dict]:
     # The sweep at one job, every decision looked up in the record.
     cli = _cli()
-    config = _verify_config(cli, argv)
+    spec = _one_job_spec(cli, argv)
     for name in DECISIONS:
         setattr(cli, name, lambda *args, name=name: recorded[name, args])
     started = time.perf_counter()
-    text, _ = cli._sweep(config)
+    text, _ = cli._sweep(spec, 1)
     elapsed = time.perf_counter() - started
     return elapsed, {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 

@@ -49,7 +49,6 @@ ROUTES = {
     "wlp": {"oracle": (None, lambda field, ds: is_wlp_oracle(field, ds))},
 }
 MODES = tuple(ROUTES["slp"])  # check --mode, verify --modes and the CSV columns
-FORMATS = ("json", "csv", "text")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,12 +63,18 @@ class _Parser(argparse.ArgumentParser):
     # lines and lines whose first non-blank character is '#' are skipped.
     # The file is read as UTF-8 on every Python (argparse's own reader takes
     # the locale's encoding before 3.12); one that is not is refused by name.
-    def _read_args_from_files(self, arg_strings: list[str]) -> list[str]:
+    # reading holds the resolved paths of the @FILEs whose lines are being
+    # read: one that names any of them again is a cycle, refused by name.
+    def _read_args_from_files(self, arg_strings: list[str], reading=()) -> list[str]:
         args = []
         for arg in arg_strings:
             if not arg.startswith("@"):
                 args.append(arg)
                 continue
+            path = os.path.realpath(arg[1:])
+            if path in reading:
+                raise ValueError(f"cannot read {arg[1:]}: it names itself, "
+                                 "directly or through another @FILE")
             try:
                 with open(arg[1:], encoding="utf-8") as handle:
                     lines = [line.strip() for line in handle.read().splitlines()]
@@ -79,7 +84,8 @@ class _Parser(argparse.ArgumentParser):
                 raise ValueError(str(exc)) from None
             # an @FILE may name another, as with argparse's reader
             args += self._read_args_from_files(
-                [a for line in lines if line[:1] not in ("", "#") for a in line.split(None, 1)])
+                [a for line in lines if line[:1] not in ("", "#") for a in line.split(None, 1)],
+                (*reading, path))
         return args
 
 
@@ -182,9 +188,10 @@ def _cmd_syzgap(args) -> int:
 # verify
 
 
-def _sweep_config(args) -> dict:
+def _sweep_config(args) -> tuple:
     # argparse has made the types, defaults, choices and required flags;
-    # these are the checks it cannot make.
+    # these are the checks it cannot make. The result is the spec of
+    # _sweep and of every share.
     primes = _parse_int_list(args.primes, "prime list")
     _reject_repeats(primes, "prime")
     fields = {p: PrimeField(p) for p in primes}
@@ -199,15 +206,7 @@ def _sweep_config(args) -> dict:
         raise ValueError("jobs must be at least 1")
     if args.out == "":
         raise ValueError("empty output path")
-    return {
-        "fields": fields,
-        "n": args.n,
-        "max_exponent": args.max,
-        "modes": list(modes),
-        "format": args.format,
-        "out": args.out,
-        "jobs": args.jobs,
-    }
+    return fields, args.n, args.max, modes, args.format
 
 
 def _grid(primes, n, max_exponent):
@@ -338,22 +337,22 @@ def _shares(spec, count: int, size: int) -> tuple[list[str], int, int]:
             os.waitpid(pid, 0)
 
 
-def _sweep(config) -> tuple[str, int]:
+def _sweep(spec, jobs: int | None) -> tuple[str, int]:
     """The rendered report of a sweep and its number of disagreements.
 
-    At N jobs the grid is N shares, run by ``_shares``: this process decides
-    share 0 and N - 1 forked workers the others, so one job is one share and
-    no fork. Without ``os.fork`` N is 1, whatever the job count. The entry
-    texts come back in grid order and are wrapped in the format's head and
-    tail, so the report does not depend on the worker count.
+    At N jobs (``--jobs``, None for all processors) the grid is N shares,
+    run by ``_shares``: this process decides share 0 and N - 1 forked workers
+    the others, so one job is one share and no fork. Without ``os.fork`` N
+    is 1, whatever the job count. The entry texts come back in grid order and
+    are wrapped in the format's head and tail, so the report does not depend
+    on the worker count.
     """
-    fields, n, max_exponent = config["fields"], config["n"], config["max_exponent"]
-    spec = (fields, n, max_exponent, tuple(config["modes"]), config["format"])
+    fields, n, max_exponent, modes, fmt = spec
     # multisets of n exponents from the max_exponent - 1 values 2..max_exponent
     size = len(fields) * comb(max_exponent + n - 2, n)
     # No --jobs is all processors, and more workers than processors or
     # algebras only add interpreters.
-    jobs = min(config["jobs"] or size, size, _available_cpus()) if hasattr(os, "fork") else 1
+    jobs = min(jobs or size, size, _available_cpus()) if hasattr(os, "fork") else 1
     texts, slp, disagreements = _shares(spec, jobs, size)
     summary = {
         "tuples": size,
@@ -363,8 +362,8 @@ def _sweep(config) -> tuple[str, int]:
     }
     # primes as given: repeats are refused, so the fields keep their order
     reported = {"primes": list(fields), "n": n, "max_exponent": max_exponent,
-                "modes": config["modes"]}
-    return _RENDERERS[config["format"]][1](reported, texts, summary), disagreements
+                "modes": list(modes)}
+    return _RENDERERS[fmt][1](reported, texts, summary), disagreements
 
 
 # Each format is an entry maker and an assembler. The maker takes an entry's
@@ -375,34 +374,21 @@ def _sweep(config) -> tuple[str, int]:
 # target_degree such as a KernelWitness. Each entry is one template % values,
 # every value written by %s. The assembler wraps the entry texts, in grid
 # order, in the report's head and tail. Sweeps and render_* both use these.
-# Mode names are identifiers from MODES, so no name needs escaping.
-
-
-def _json_list(count: int, pad: str) -> str:
-    # A list of count %s items as json.dumps(indent=2) writes it, items indented by pad.
-    if not count:
-        return "[]"
-    items = f",\n{pad}".join(["%s"] * count)
-    return f"[\n{pad}{items}\n{pad[:-2]}]"
+# json.dumps lays out the JSON ones from placeholders, "%s" for each value:
+# mode names are identifiers from MODES, so no key holds a quote or a %.
 
 
 def _json_entry(n: int, modes, wlen):
-    # One report entry at depth 2 of the report, keys in sorted order.
+    # An entry at depth 2 of a report, after the line break that joins it to
+    # the one before; its %s slots come in sorted-key order.
+    import json
+
+    entry = {"agree": "%s", "d": ["%s"] * n, "p": "%s", "verdicts": dict.fromkeys(modes, "%s"),
+             "witness": None if wlen is None else
+             {"monomial": ["%s"] * wlen, "power": "%s", "target_degree": "%s"}}
+    text = "\n" + json.dumps(entry, indent=2, sort_keys=True)
+    template = text.replace("\n", "\n    ").replace('"%s"', "%s")
     order = sorted(range(len(modes)), key=modes.__getitem__)
-    vtext = ",\n".join(f'        "{modes[i]}": %s' for i in order)
-    vtext = f"{{\n{vtext}\n      }}" if vtext else "{}"
-    wtext = "null" if wlen is None else (
-        f'{{\n        "monomial": {_json_list(wlen, " " * 10)},\n'
-        f'        "power": %s,\n'
-        f'        "target_degree": %s\n      }}'
-    )
-    template = (
-        f'    {{\n      "agree": %s,\n'
-        f'      "d": {_json_list(n, " " * 8)},\n'
-        f'      "p": %s,\n'
-        f'      "verdicts": {vtext},\n'
-        f'      "witness": {wtext}\n    }}'
-    )
     words = ("false", "true")
     if wlen is None:
         return lambda p, d, verdicts, agree, w: template % (
@@ -414,14 +400,15 @@ def _json_entry(n: int, modes, wlen):
 
 def _json_report(config: dict, texts: list[str], summary: dict) -> str:
     # With an indent, json.dumps runs its pure-Python encoder, so only the
-    # small config and summary go through it. Imported here, as no other
-    # format needs it.
+    # config, the summary and one placeholder entry (none if there are no
+    # entries) go through it; the joined entry texts take the placeholder's
+    # place. Imported here, as no other format needs it.
     import json
 
-    head = json.dumps({"config": config}, indent=2, sort_keys=True)
-    tail = json.dumps({"summary": summary}, indent=2, sort_keys=True)
-    body = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
-    return f'{head[:-2]},\n  "entries": {body},\n{tail[2:]}\n'
+    text = json.dumps({"config": config, "entries": ["%s"][:len(texts)], "summary": summary},
+                      indent=2, sort_keys=True)
+    head, _, tail = text.partition('\n    "%s"')
+    return "".join([head, ",".join(texts), tail, "\n"])
 
 
 def _row_entry(template: str, words, modes, wlen):
@@ -478,6 +465,7 @@ _RENDERERS = {
     "csv": (_csv_entry, _csv_report),
     "text": (_text_entry, _text_report),
 }
+FORMATS = tuple(_RENDERERS)  # verify --format
 
 
 def _render(fmt: str, report: dict) -> str:
@@ -518,14 +506,19 @@ def render_text(report: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
-    config = _sweep_config(args)
+    spec = _sweep_config(args)
     # opened before the sweep: an unwritable path fails at once, not after it
     try:
-        handle = open(config["out"], "w", encoding="utf-8", newline="") if config["out"] else None
+        handle = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
     except OSError as exc:
-        raise ValueError(f"cannot write report to {config['out']}: {exc}") from None
+        raise ValueError(f"cannot write report to {args.out}: {exc}") from None
     started = time.monotonic()
-    payload, disagreements = _sweep(config)
+    try:
+        payload, disagreements = _sweep(spec, args.jobs)
+    except BaseException:
+        if handle is not None:
+            handle.close()  # a sweep that fails leaves the file empty, and closed
+        raise
     elapsed = time.monotonic() - started
     if handle is None:
         # flushed before the elapsed line, so a failed write leaves one line on stderr
@@ -536,7 +529,7 @@ def _cmd_verify(args) -> int:
             with handle:
                 handle.write(payload)
         except OSError as exc:
-            raise ValueError(f"cannot write report to {config['out']}: {exc}") from None
+            raise ValueError(f"cannot write report to {args.out}: {exc}") from None
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0 if disagreements == 0 else 1
 

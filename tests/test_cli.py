@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import importlib.util
 import io
@@ -11,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -280,7 +282,7 @@ RENDER_SOURCES = [
     pytest.param(["--primes", "2,3,5,7", "--max", "20",
                   "--modes", "digits,manhattan"], id="digits-manhattan"),
     *(pytest.param(kind, id=kind)
-      for kind in ("disagreement", "empty-containers", "no-entries")),
+      for kind in ("disagreement", "empty-containers", "no-entries", "unusual-shapes")),
 ]
 
 
@@ -349,13 +351,15 @@ class TestVerify:
     def _report(argv):
         # The JSON report of a sweep, read back as a dict.
         args = cli._build_parser().parse_args(["verify", "--jobs", "1", "--format", "json"] + argv)
-        payload, _ = cli._sweep(cli._sweep_config(args))
+        payload, _ = cli._sweep(cli._sweep_config(args), args.jobs)
         return json.loads(payload)
 
     @staticmethod
     def _hand_built_report(kind):
         # Reports no correct sweep produces: routes that disagree, empty
-        # containers, no entries.
+        # containers, no entries, and shapes verify never writes (a
+        # three-term witness on three exponents, with every mode in reverse
+        # table order, beside an entry with no modes).
         report = TestVerify._report(["--primes", "2", "--max", "4", "--modes", "oracle,digits"])
         if kind == "disagreement":
             report["entries"][0].update(
@@ -365,6 +369,13 @@ class TestVerify:
             report["entries"][0].update(
                 d=[], verdicts={}, witness={"monomial": [], "power": 2, "target_degree": 2}
             )
+        elif kind == "unusual-shapes":
+            report["entries"][1:1] = [
+                {"agree": True, "d": [2, 3, 4], "p": 2,
+                 "verdicts": dict(zip(reversed(cli.MODES), (True, True, False, False))),
+                 "witness": {"monomial": [1, 0, 2], "power": 3, "target_degree": 6}},
+                {"agree": True, "d": [3, 3, 3], "p": 2, "verdicts": {}, "witness": None},
+            ]
         else:
             report["entries"] = []
         return report
@@ -437,9 +448,7 @@ class TestVerify:
         # share i of count holds positions i, i + count, ... of the one-share
         # texts, and the shares' counts sum to its counts
         args = cli._build_parser().parse_args(["verify", *grid, "--format", "json"])
-        config = cli._sweep_config(args)
-        spec = (config["fields"], config["n"], config["max_exponent"],
-                tuple(config["modes"]), config["format"])
+        spec = cli._sweep_config(args)
         texts, slp, disagreements = cli._sweep_share(spec, 0, 1)
         for count in range(1, 6):
             shares = [cli._sweep_share(spec, index, count) for index in range(count)]
@@ -635,7 +644,7 @@ class TestVerify:
         assert len(calls) == 30  # 2 primes x 15 pairs 2 <= a <= b <= 6
 
     def test_unwritable_out_refused_before_the_sweep(self, tmp_path, monkeypatch, capsys):
-        def no_sweep(config):
+        def no_sweep(spec, jobs):
             raise AssertionError("swept before the report file was opened")
 
         monkeypatch.setattr(cli, "_sweep", no_sweep)
@@ -647,6 +656,24 @@ class TestVerify:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write report to ") and err.count("\n") == 1
+
+    def test_failed_sweep_closes_the_out_file(self, tmp_path, monkeypatch, capsys):
+        # A route that raises mid-sweep: the report file is left empty and
+        # closed, so no ResourceWarning comes when it is collected.
+        def broken(field, ds):
+            raise ZeroDivisionError("a route that fails mid-sweep")
+
+        monkeypatch.setattr(cli, "classify", broken)
+        target = tmp_path / "new.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["verify", "--primes", "2", "--max", "4", "--modes", "digits",
+                                      "--jobs", "1", "--out", str(target)], capsys)
+            gc.collect()
+        assert code == 2 and out == ""
+        assert err == "error: internal error: ZeroDivisionError: a route that fails mid-sweep\n"
+        assert target.read_bytes() == b""
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -816,6 +843,23 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message.format(tmp=tmp_path) in err
 
+    @pytest.mark.parametrize("files, named", [
+        pytest.param({"a.args": "--primes 2\n@./a.args\n"}, "./a.args", id="direct-cycle"),
+        pytest.param({"a.args": "--primes 2\n@b.args\n",
+                      "b.args": "--modes digits\n@{tmp}/a.args\n"},
+                     "{tmp}/a.args", id="indirect-cycle"),
+    ])
+    def test_args_file_cycle_is_a_usage_error(self, files, named, tmp_path, monkeypatch, capsys):
+        # an @FILE that names itself, directly or through another, by any
+        # path to the same file, is refused by the name it was given there
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text.format(tmp=tmp_path))
+        code, out, err = run_cli(["verify", "@a.args", "--max", "4", "--jobs", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot read {named.format(tmp=tmp_path)}: it names itself, "
+                       "directly or through another @FILE\n")
+
 
 def _oracle_wrong_on_f3_square(monkeypatch):
     real = cli.is_slp_oracle
@@ -903,7 +947,7 @@ def test_cli_import_loads_only_what_a_command_runs():
     # one or two jobs loads any of these: the records are named tuples (no
     # dataclasses, and with it no inspect), the workers are forked without
     # multiprocessing, pickle and signal serve only a failed worker, json
-    # only assembles a JSON report, and numpy is no dependency. Modules are
+    # only lays out a JSON report, and numpy is no dependency. Modules are
     # counted from those loaded before the import, since site may load typing.
     unneeded = {"dataclasses", "inspect", "json", "multiprocessing", "pickle", "signal",
                 "typing", "numpy"}
