@@ -2,7 +2,7 @@
 
     python3 bench/layers.py [BENCH ...]
 
-BENCH is one of the benchmarks below; no names runs all seven. Every grid,
+BENCH is one of the benchmarks below; no names runs all six. Every grid,
 mode list, ``verify`` argument list and report digest comes from
 ``sweepbench/checks.py``. Every call list is what one ``verify --jobs 1``
 sweep of the workload calls: ``record`` runs that sweep in this process and
@@ -23,9 +23,6 @@ functions. A new layer is one more row.
   of the same sweep, which leaves the path of its entries (agreement,
   witness choice, rendering) and the report's assembly; each report must
   have the recorded sha256;
-* ``verify``: a whole ``verify`` of each workload, from argument parsing to
-  the written report, at ``--jobs 1`` and at ``--jobs N`` (N the processors
-  this process may use); each report must have its recorded sha256;
 * ``import``: ``import lefschetz.cli`` in a new interpreter, on no
   workload: the sum of the cumulative ``-X importtime`` figures of the
   imports that statement starts, what every command pays before it runs;
@@ -38,16 +35,16 @@ sample of every layer of the benchmark, in reverse order every other round.
 The run (machine, git commit, every sample) is appended to
 ``bench/BENCH_<bench>.json``, its layers keyed ``"<workload> <layer>"``.
 
-This is a measurement, not a test: nothing here asserts a time.
+This is a measurement, not a test: nothing here asserts a time. Whole
+``verify`` calls are timed end to end by ``sweepbench/run.py`` alone: its
+``sweep_s`` at one job and ``sweep_s_par`` at every processor.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import importlib
-import io
 import json
 import multiprocessing
 import os
@@ -64,6 +61,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 sys.path.insert(0, str(ROOT / "sweepbench"))
 from checks import WORKLOADS  # noqa: E402
+from spans import Tracer  # noqa: E402
 
 REPEATS = 9
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -108,28 +106,20 @@ def _one_job_spec(cli, argv: list[str]) -> tuple:
 def record(argv: list[str]) -> list[tuple]:
     """``(name, args, result)`` of each call of a ``TABLE`` function, in the
     order the calls return, while ``verify`` with the arguments ``argv``
-    sweeps in this process at one job. Each name is wrapped in the module
-    that looks it up per call, and restored also when the sweep raises."""
+    sweeps in this process at one job. A ``spans.Tracer`` wraps each name in
+    the module that looks it up per call and restores it also when the
+    sweep raises; a name it cannot find is an error before the sweep."""
     cli = _cli()
     spec = _one_job_spec(cli, argv)
     calls = []
-
-    def recording(name, fn):
-        def call(*args):
-            result = fn(*args)
-            calls.append((name, args, result))
-            return result
-        return call
-
-    modules = {n: importlib.import_module(f"lefschetz.{m}") for n, (m, *_) in TABLE.items()}
-    saved = {name: getattr(module, name) for name, module in modules.items()}
-    try:
-        for name, fn in saved.items():
-            setattr(modules[name], name, recording(name, fn))
+    # each target's sizer, called as each call returns, keeps the call
+    targets = [(f"lefschetz.{module}", name, name,
+                lambda args, result, name=name: calls.append((name, args, result)))
+               for name, (module, *_) in TABLE.items()]
+    with Tracer(targets) as tracer:
+        if tracer.absent:
+            raise AttributeError(f"cannot record {', '.join(tracer.absent)}: no such function")
         cli._sweep(spec, 1)
-    finally:
-        for name, fn in saved.items():
-            setattr(modules[name], name, fn)
     return calls
 
 
@@ -177,18 +167,6 @@ def _time_render(argv: list[str], recorded: dict) -> tuple[float, dict]:
     return elapsed, {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
-def _time_verify(argv: list[str], out: str) -> tuple[float, dict]:
-    cli = _cli()
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        started = time.perf_counter()
-        code = cli.main(argv)
-        elapsed = time.perf_counter() - started
-    if code != 0:
-        raise RuntimeError(f"verify exited {code}: {err.getvalue()}")
-    return elapsed, {"sha256": hashlib.sha256(Path(out).read_bytes()).hexdigest()}
-
-
 def _time_import() -> tuple[float, dict]:
     # A new interpreter of its own: the sampler's has loaded much of what
     # lefschetz.cli imports. It may write and read bytecode, as sweepbench's
@@ -219,9 +197,6 @@ def tasks(bench: str, work: str) -> list[tuple]:
     if bench == "import":
         _time_import()  # compiles the bytecode that every sample reads
         return [("start-up", "lefschetz.cli", 1, _time_import, ())]
-    if bench == "verify":
-        return [(w, f"--jobs {jobs}", 1, _time_verify, (WORKLOADS[w].argv(jobs, out), out))
-                for w in WORKLOADS for jobs in sorted({1, CORES})]
     records = {}  # workload -> the record of its sweep, made at most once
 
     def calls(w: str, names) -> list[tuple]:
@@ -329,7 +304,7 @@ def run(bench: str) -> None:
                {"repeats": REPEATS, "layers": layers})
 
 
-BENCHES = ("oracle", "syzygy", "witness", "route", "render", "verify", "import")
+BENCHES = ("oracle", "syzygy", "witness", "route", "render", "import")
 
 
 def main(argv=None) -> int:

@@ -22,6 +22,7 @@ All functions are pure; everything is exact integer arithmetic.
 """
 
 from collections.abc import Iterator
+from operator import index
 
 from .prime_field import PrimeField
 from .verdict import Verdict
@@ -42,7 +43,7 @@ def base_p_digits(n: int, field: PrimeField) -> tuple[int, ...]:
 
 
 def _check_two_exponents(a: int, b: int) -> None:
-    if a < 2 or b < 2:
+    if index(a) < 2 or index(b) < 2:
         raise ValueError("exponents must be at least 2")
 
 
@@ -246,7 +247,7 @@ def classify(field: PrimeField, ds) -> Verdict:
     variables in odd characteristic the case and the first failed
     subcondition, e.g. ``no condition satisfied (case 3(b))``.
     """
-    ds = tuple(int(d) for d in ds)
+    ds = tuple(map(index, ds))
     if not ds:
         raise ValueError("need at least one exponent")
     if any(d < 2 for d in ds):
@@ -274,7 +275,7 @@ def han_delta(field: PrimeField, d1: int, d2: int, d3: int) -> int:
     p^k - D_k = 2t - s < 0 there. Level 0 counts: an odd s gives D_0 = 0
     and a gap of at least 1.
     """
-    if min(d1, d2, d3) < 1:
+    if min(index(d1), index(d2), index(d3)) < 1:
         raise ValueError("degrees must be positive")
     top = max(d1, d2, d3)
     total = d1 + d2 + d3

@@ -199,6 +199,9 @@ def _sweep_config(args) -> tuple:
         raise ValueError("n must be at least 1")
     if args.max < 2:
         raise ValueError("max exponent must be at least 2")
+    size = _grid_size(fields, args.n, args.max)
+    if size > sys.maxsize:
+        raise ValueError(f"grid too large: {size} algebras, more than a list can index")
     modes = tuple(_split_list(args.modes, "modes"))
     _reject_repeats(modes, "mode")
     _check_modes(ROUTES["slp"], modes, args.n)
@@ -207,6 +210,11 @@ def _sweep_config(args) -> tuple:
     if args.out == "":
         raise ValueError("empty output path")
     return fields, args.n, args.max, modes, args.format
+
+
+def _grid_size(primes, n: int, max_exponent: int) -> int:
+    # multisets of n exponents from the max_exponent - 1 values 2..max_exponent
+    return len(primes) * comb(max_exponent + n - 2, n)
 
 
 def _grid(primes, n, max_exponent):
@@ -348,8 +356,7 @@ def _sweep(spec, jobs: int | None) -> tuple[str, int]:
     on the worker count.
     """
     fields, n, max_exponent, modes, fmt = spec
-    # multisets of n exponents from the max_exponent - 1 values 2..max_exponent
-    size = len(fields) * comb(max_exponent + n - 2, n)
+    size = _grid_size(fields, n, max_exponent)
     # No --jobs is all processors, and more workers than processors or
     # algebras only add interpreters.
     jobs = min(jobs or size, size, _available_cpus()) if hasattr(os, "fork") else 1

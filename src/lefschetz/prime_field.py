@@ -79,11 +79,11 @@ def rank(matrix: MatrixGFp, field: PrimeField) -> int:
     Each column is checked first: an entry outside ``1..p-1`` and a row
     index that is out of range or not above the previous one are rejected.
     A column whose leading row leads no pivot yet becomes a new pivot as it
-    stands, scaled to lead with 1, with no working vector and no walk; every
-    unit column and the first column to reach each row take this path. A
-    one-entry column on a row whose pivot has no entries below its lead is a
-    multiple of that pivot, so it reduces to zero and is skipped. Any
-    other column is copied into a dense working vector and walked from its
+    stands, scaled to lead with 1, with no working vector and no walk; the
+    first column to reach each row takes this path, and so does every unit
+    column of a presentation matrix, whose unit columns lead distinct rows
+    until the rank is full. Any other column is copied into a dense working
+    vector and walked from its
     first row down: a nonzero entry in a row that leads a pivot column is
     cleared by subtracting that pivot, and the first nonzero entry in any
     other row makes the vector a new pivot. The walk, and the scan for the
@@ -115,8 +115,6 @@ def rank(matrix: MatrixGFp, field: PrimeField) -> int:
             else:
                 inv = pow(f, -1, p)
                 pivots[lead] = [(j, e * inv % p) for j, e in column[1:]]
-            continue
-        if not pivot and len(column) == 1:
             continue
         v = [0] * nrows
         for i, e in column:

@@ -14,6 +14,7 @@ relation.
 
 import enum
 from collections import namedtuple
+from operator import index
 
 from .prime_field import MatrixGFp, PrimeField, binomial_row, rank
 from .verdict import Verdict
@@ -44,7 +45,7 @@ class SyzygyProfile(namedtuple("SyzygyProfile", "alpha beta")):
 
 
 def _check_degrees(*degrees: int) -> None:
-    if any(d < 1 for d in degrees):
+    if any(index(d) < 1 for d in degrees):
         raise ValueError("degrees must be positive")
 
 

@@ -307,9 +307,8 @@ def power_times_monomial_is_zero(p: int, d1: int, d2: int, e1: int, e2: int, pow
 
 
 def _forged_and_unpickled(cls, *args):
-    # tuple.__new__ builds the record without its checks; unpickling it
-    # (as verify --jobs N does with the fields it sends its workers) must
-    # run them
+    # tuple.__new__ builds the record without its checks; unpickling it must
+    # run them, so a record that any caller unpickles is a checked one
     return pickle.loads(pickle.dumps(tuple.__new__(cls, args)))
 
 

@@ -19,12 +19,14 @@ from lefschetz import (
     base_p_digits,
     classify,
     han_delta,
+    kernel_witness,
     manhattan_check,
     step_violations,
     syzygy_profile,
 )
 from lefschetz.classifier import _odd_sum_distance
 from lefschetz.prime_field import MAX_CHARACTERISTIC
+from lefschetz.syzygy_gap import region
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -252,3 +254,26 @@ class TestHanDelta:
         for d in ((0, 1, 1), (1, -2, 1), (1, 1, 0)):
             with pytest.raises(ValueError):
                 han_delta(F3, *d)
+
+
+class _Exponent(int):
+    """An int subclass, read as the int it is."""
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda d: classify(F3, (d, 4)), id="classify"),
+        pytest.param(lambda d: tuple(step_violations(F3, 2, d)), id="step_violations"),
+        pytest.param(lambda d: kernel_witness(F3, 2, d), id="kernel_witness"),
+        pytest.param(lambda d: han_delta(F3, d, 3, 3), id="han_delta"),
+        pytest.param(lambda d: region(d, 3, 3), id="region"),
+    ],
+)
+def test_exponents_are_read_as_integers(call):
+    # a float or a string is refused: classify read 6.5 and "6" as 6, and
+    # the others computed with a float; an int subclass is the int it is
+    for bad in (6.5, 6.0, "6"):
+        with pytest.raises(TypeError):
+            call(bad)
+    assert call(_Exponent(6)) == call(6)

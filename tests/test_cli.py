@@ -823,6 +823,10 @@ class TestVerify:
             pytest.param(["--max", "1"], None, "max exponent must be at least 2",
                          id="max-below-2"),
             pytest.param(["--jobs", "0"], None, "jobs must be at least 1", id="zero-jobs"),
+            # 26,536,589,497,469,056,215,210 algebras: more than a list can index
+            pytest.param(["--n", "40", "--max", "40"], None,
+                         "grid too large: 26536589497469056215210 algebras",
+                         id="grid-past-an-index"),
             # a row that starts with the command is the whole command line
             pytest.param(["verify", "--modes", "digits"], None,
                          "the following arguments are required: --primes", id="no-primes"),

@@ -90,3 +90,15 @@ def test_bench_recorder_keeps_what_verify_calls(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         layers.record(argv)
     assert unchanged(before)
+
+    def swept(*args):
+        raise AssertionError("swept with a name left unrecorded")
+
+    # a row that names no function is refused before the sweep, with every
+    # name it did wrap restored
+    monkeypatch.setattr(cli, "_sweep", swept)
+    monkeypatch.setitem(layers.TABLE, "no_such_route", ("cli", "route", ("sweep-n2",)))
+    before = names()
+    with pytest.raises(AttributeError, match="lefschetz.cli.no_such_route"):
+        layers.record(argv)
+    assert unchanged(before)

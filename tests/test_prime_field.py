@@ -319,9 +319,8 @@ class TestRankKernel:
     )
     def test_copy_checks_on_every_path(self, before, column):
         # "new-pivot": row 0 leads no pivot yet, so the bad column is taken
-        # as it stands; "unit-pivot": row 0 leads a pivot with no tail, so a
-        # one-entry column there is skipped; "walk": it is cleared against
-        # the pivot of row 0.
+        # as it stands; "unit-pivot" and "walk": row 0 leads a pivot, with no
+        # tail or with one, so the column is walked and cleared against it.
         matrix = MatrixGFp(3, (*before, column))
         with pytest.raises(ValueError, match="out of"):
             rank(matrix, PrimeField(3))
